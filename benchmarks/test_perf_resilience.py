@@ -1,18 +1,13 @@
-"""Wall-clock cost of the resilience layer: supervision, recovery, resume.
+"""Wall-clock cost of the resilience layer: checkpoint resume.
 
-Robustness must not tax the happy path.  This benchmark measures
-
-* the **supervision overhead** of the per-chunk-futures supervisor on a
-  clean run against the serial engine on the same workload (the supervisor
-  adds bookkeeping, not simulation work);
-* the **recovery cost** of one injected chunk failure (one retry round on
-  half the fault universe) relative to the clean supervised run;
-* the **resume speedup** of a checkpointed pipeline re-run over a cold run.
+This benchmark measures the **resume speedup** of a checkpointed pipeline
+re-run over a cold run, and checks that the resumed result is the cold
+one.
 
 Results are written to ``BENCH_resilience.json`` at the repo root.  Quick
-mode — ``RESILIENCE_BENCH_QUICK=1`` — shrinks the workload for CI smoke and
-skips the wall-clock floors (shared runners make ratios flaky); it still
-checks bit-exactness everywhere and still writes the JSON artifact.
+mode — ``RESILIENCE_BENCH_QUICK=1`` — skips the wall-clock floor (shared
+runners make ratios flaky); it still checks the restored result and still
+writes the JSON artifact.
 """
 
 from __future__ import annotations
@@ -20,18 +15,9 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
-from repro.atpg import random_patterns
-from repro.circuit.iscas import load_benchmark
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.resilience import ChaosPlan, ChaosRule, chaos
-from repro.simulation import (
-    FaultSimulator,
-    ParallelFaultSimulator,
-    collapse_faults,
-)
 
 QUICK = bool(os.environ.get("RESILIENCE_BENCH_QUICK"))
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
@@ -44,46 +30,9 @@ def _timed(fn):
 
 
 def test_resilience_overhead_and_resume(tmp_path):
-    benchmark = "c432"
-    n_patterns = 192 if QUICK else 768
-    circuit = load_benchmark(benchmark)
-    faults = collapse_faults(circuit)
-    patterns = random_patterns(len(circuit.primary_inputs), n_patterns, seed=13)
-
-    serial_result, serial_seconds = _timed(
-        lambda: FaultSimulator(circuit).run(patterns, faults=faults)
-    )
-
-    supervised = ParallelFaultSimulator(circuit, max_workers=2, crossover=0)
-    clean_result, clean_seconds = _timed(
-        lambda: supervised.run(patterns, faults=faults)
-    )
-    assert supervised.last_engine == "parallel"
-    assert clean_result.first_detection == serial_result.first_detection
-    assert supervised.engine_info()["degraded"] is False
-
-    fail_once = ChaosPlan(
-        rules=(
-            ChaosRule(
-                point="parallel.chunk", kind="exception", keys={0}, attempts={0}
-            ),
-        )
-    )
-    recovering = ParallelFaultSimulator(circuit, max_workers=2, crossover=0)
-    recovering._sleep = lambda s: None  # measure work, not backoff waiting
-
-    def run_recovering():
-        with chaos.active(fail_once), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return recovering.run(patterns, faults=faults)
-
-    recovered_result, recovered_seconds = _timed(run_recovering)
-    assert recovered_result.first_detection == serial_result.first_detection
-    info = recovering.engine_info()
-    assert info["chunks_salvaged"] == 1 and info["chunk_retries"] == 1
-
     # Pipeline: cold checkpointed run vs full resume.
-    config = ExperimentConfig(benchmark="c17", seed=777)
+    benchmark = "c17"
+    config = ExperimentConfig(benchmark=benchmark, seed=777)
     ckpt = tmp_path / "ckpt"
     cold, cold_seconds = _timed(
         lambda: run_experiment(config, checkpoint_dir=ckpt)
@@ -97,22 +46,6 @@ def test_resilience_overhead_and_resume(tmp_path):
     record = {
         "benchmark": benchmark,
         "mode": "quick" if QUICK else "full",
-        "n_patterns": n_patterns,
-        "n_faults": len(faults),
-        "serial_seconds": round(serial_seconds, 4),
-        "supervised_clean": {
-            **supervised.engine_info(),
-            "seconds": round(clean_seconds, 4),
-        },
-        "supervised_one_failure": {
-            **info,
-            "seconds": round(recovered_seconds, 4),
-            "recovery_cost_vs_clean": round(
-                recovered_seconds / clean_seconds, 2
-            )
-            if clean_seconds > 0
-            else None,
-        },
         "pipeline_resume": {
             "cold_seconds": round(cold_seconds, 4),
             "resume_seconds": round(resume_seconds, 4),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -45,11 +45,9 @@ from repro.obs.events import CheckpointEvent, StageEvent
 from repro.resilience import chaos
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.errors import CheckpointCorruptError
-from repro.resilience.retry import DEFAULT_RETRY_POLICY
-from repro.simulation.engines import ENGINE_NAMES
 from repro.simulation.fault_sim import FaultSimResult
 from repro.simulation.faults import StuckAtFault, collapse_faults
-from repro.simulation.parallel import ParallelFaultSimulator
+from repro.simulation.numpy_sim import DEFAULT_NUMPY_WIDTH, NumpyFaultSimulator
 from repro.switchsim.coverage import CoverageCurves, build_coverage
 from repro.switchsim.simulator import SwitchLevelFaultSimulator, SwitchSimResult
 
@@ -71,20 +69,11 @@ class ExperimentConfig:
     #: When False, the paper's deterministic (PODEM) top-off is skipped and
     #: only the random prefix is applied (vector-source ablation).
     deterministic_topoff: bool = True
-    #: Packed-word width of the fault-simulation engine (None = engine
-    #: default).  Simulation results are bit-exact across widths; this only
-    #: moves wall-clock time.
+    #: Packed-word width of the fault simulators, a positive multiple of 64
+    #: (None = each engine's default: the numpy kernel's for the stuck-at
+    #: stage, the python engine's for random ATPG).  Simulation results are
+    #: bit-exact across widths; this only moves wall-clock time.
     word_width: int | None = None
-    #: Worker-process cap for the stuck-at fault-simulation stage (None =
-    #: machine CPU count; the engine still runs serially below its
-    #: work crossover).
-    fault_sim_workers: int | None = None
-    #: Fault-simulation engine for the stuck-at stage: "python" (wide-word
-    #: reference), "numpy" (uint64 bitslice kernel) or "auto" (default:
-    #: numpy when its platform preflight passes, recorded in the manifest).
-    #: Engines are bit-exact against each other; this only moves wall-clock
-    #: time.  See :mod:`repro.simulation.engines`.
-    engine: str = "auto"
     #: When True (default), the static-analysis pass runs before ATPG:
     #: provably-untestable faults are excluded from the coverage denominator
     #: up front (alongside PODEM-proven redundancies) and SCOAP measures are
@@ -99,15 +88,6 @@ class ExperimentConfig:
     prove_redundancy: bool = True
     #: Recursive-learning depth bound for the redundancy prover.
     prover_depth: int = 2
-    #: Total pool attempts per fault chunk before the serial salvage phase
-    #: (None = the default retry policy's budget).  Affects only resilience
-    #: behaviour, never results; hashed like every other knob so manifests
-    #: and campaign job ids record it.
-    fault_sim_retries: int | None = None
-    #: Per-chunk deadline in seconds for the parallel fault-simulation
-    #: stage (None = no deadline).  A chunk past its deadline is retried
-    #: in a fresh pool and, failing that, salvaged serially.
-    chunk_timeout: float | None = None
 
     def __post_init__(self) -> None:
         """Reject invalid knobs at construction, not mid-pipeline."""
@@ -129,37 +109,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"backtrack_limit must be non-negative, got {self.backtrack_limit}"
             )
-        if self.word_width is not None and self.word_width < 1:
-            raise ValueError(f"word_width must be >= 1, got {self.word_width}")
-        if self.fault_sim_workers is not None and self.fault_sim_workers < 1:
-            raise ValueError(
-                f"fault_sim_workers must be >= 1, got {self.fault_sim_workers}"
-            )
-        if self.engine not in ENGINE_NAMES:
-            known = ", ".join(ENGINE_NAMES)
-            raise ValueError(
-                f"engine must be one of {known}; got {self.engine!r}"
-            )
-        if (
-            self.engine == "numpy"
-            and self.word_width is not None
-            and (self.word_width < 64 or self.word_width % 64)
+        if self.word_width is not None and (
+            self.word_width < 64 or self.word_width % 64
         ):
             raise ValueError(
-                "engine 'numpy' needs word_width to be a positive multiple "
-                f"of 64 (whole uint64 words), got {self.word_width}"
+                "word_width must be a positive multiple of 64 (whole uint64 "
+                f"words), got {self.word_width}"
             )
         if self.prover_depth < 0:
             raise ValueError(
                 f"prover_depth must be non-negative, got {self.prover_depth}"
-            )
-        if self.fault_sim_retries is not None and self.fault_sim_retries < 1:
-            raise ValueError(
-                f"fault_sim_retries must be >= 1, got {self.fault_sim_retries}"
-            )
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ValueError(
-                f"chunk_timeout must be positive, got {self.chunk_timeout}"
             )
 
     def __hash__(self) -> int:  # DefectStatistics carries dicts
@@ -181,13 +140,9 @@ class ExperimentConfig:
                 self.detection,
                 self.deterministic_topoff,
                 self.word_width,
-                self.fault_sim_workers,
-                self.engine,
                 self.static_analysis,
                 self.prove_redundancy,
                 self.prover_depth,
-                self.fault_sim_retries,
-                self.chunk_timeout,
             )
         )
 
@@ -211,8 +166,7 @@ class ExperimentResult:
     coverage: CoverageCurves
     sample_ks: list[int] = field(default_factory=list)
     #: Descriptor of the fault-simulation engine that produced
-    #: ``stuck_result``: name ("serial"/"parallel"), word width, workers,
-    #: degradation state (see ``ParallelFaultSimulator.engine_info``).
+    #: ``stuck_result``: ``{"kind": "numpy", "word_width": ...}``.
     engine: dict[str, object] = field(default_factory=dict)
     #: Stage names restored from checkpoints (empty without a checkpoint dir).
     stages_restored: list[str] = field(default_factory=list)
@@ -224,14 +178,10 @@ class ExperimentResult:
     podem_stats: dict[str, int] = field(default_factory=dict)
 
     def resilience_info(self) -> dict[str, object]:
-        """Restore/recompute and engine-degradation facts, for manifests."""
+        """Checkpoint restore/recompute facts, for manifests."""
         return {
             "stages_restored": list(self.stages_restored),
             "stages_recomputed": list(self.stages_recomputed),
-            "engine_degraded": bool(self.engine.get("degraded", False)),
-            "degraded_reason": self.engine.get("degraded_reason"),
-            "chunks_salvaged": self.engine.get("chunks_salvaged", 0),
-            "chunk_retries": self.engine.get("chunk_retries", 0),
         }
 
     # -- per-k series ------------------------------------------------------
@@ -440,8 +390,12 @@ def _run_pipeline(
         # denominator before any vector is generated — the same "redundant
         # faults can be neglected" assumption the paper makes, applied where
         # redundancy is provable without search.  SCOAP measures are reused
-        # by the PODEM backtrace.  Deterministic and cheap relative to the
-        # simulation stages, it is recomputed rather than checkpointed.
+        # by the PODEM backtrace.  It is not cheap: 9.4 s of a 35.4 s c432
+        # run, 26.5 % (`python -m repro c432 --attribution`, 2-core Linux
+        # VM; 23.6 % in an earlier profile), almost all of it in the
+        # redundancy prover.  It is still recomputed on resume rather than
+        # checkpointed, until it becomes a stage of its own (ROADMAP item 5,
+        # the content-addressed stage store).
         analysis: AnalysisResult | None = None
         static_untestable: list[StuckAtFault] = []
         screened = collapsed
@@ -525,24 +479,14 @@ def _run_pipeline(
 
         def compute_stuck() -> dict[str, object]:
             with obs.span("pipeline.stuck_fault_sim", n_patterns=len(patterns)):
-                retry_policy = (
-                    None
-                    if config.fault_sim_retries is None
-                    else replace(
-                        DEFAULT_RETRY_POLICY,
-                        max_attempts=config.fault_sim_retries,
-                    )
-                )
-                stuck_sim = ParallelFaultSimulator(
-                    circuit,
-                    width=config.word_width,
-                    max_workers=config.fault_sim_workers,
-                    retry=retry_policy,
-                    chunk_timeout=config.chunk_timeout,
-                    engine=config.engine,
+                stuck_sim = NumpyFaultSimulator(
+                    circuit, width=config.word_width or DEFAULT_NUMPY_WIDTH
                 )
                 result = stuck_sim.run(patterns, faults=testable)
-            return {"result": result, "engine": stuck_sim.engine_info()}
+            return {
+                "result": result,
+                "engine": {"kind": stuck_sim.kind, "word_width": stuck_sim.width},
+            }
 
         stuck = run_stage("stuck_sim", compute_stuck)
         stuck_result: FaultSimResult = stuck["result"]

@@ -19,10 +19,9 @@ Design rules, shared with the rest of :mod:`repro.obs`:
   branch), so enabling attribution costs under 2 % of kernel wall time
   (guarded by ``benchmarks/test_perf_attribution.py``).
 
-Everything is stored as a flat ``dotted-key -> int`` counter map so worker
-processes can ship plain deltas (merged additively, like the obs counter
-envelope) — plus two small non-counter maps: per-stage wall seconds and
-per-stage ``tracemalloc`` peaks (merged by max).
+Everything is stored as a flat ``dotted-key -> int`` counter map plus two
+small non-counter maps: per-stage wall seconds and per-stage
+``tracemalloc`` peaks (kept as the max seen).
 
 Key families:
 
@@ -40,10 +39,9 @@ Key families:
     Faults dropped per packed pattern block: the drain curve of the active
     fault list, i.e. how quickly fault dropping pays off.
 
-Per-run totals are *work-additive*: a parallel run's merged counters count
-the work actually executed, so the (deliberate) redundancy of the fan-out —
-every chunk re-simulates the fault-free machine — is visible rather than
-hidden, which is exactly what a cost model needs.
+Per-run totals are *work-additive*: they count the work actually executed,
+so simulating the same fault-free machine twice shows up twice, which is
+exactly what a cost model needs.
 """
 
 from __future__ import annotations
@@ -122,32 +120,12 @@ class AttributionCollector:
             if peak_bytes > previous:
                 self._memory_peaks[stage_name] = peak_bytes
 
-    # -- cross-process merge ------------------------------------------------
+    # -- queries ------------------------------------------------------------
     def counter_values(self) -> dict[str, int]:
-        """Point-in-time copy of every counter (for worker delta snapshots)."""
+        """Point-in-time copy of every flat counter."""
         with self._lock:
             return dict(self._counts)
 
-    def merge_envelope(self, envelope: dict) -> None:
-        """Fold a worker's attribution envelope into this collector.
-
-        ``counters`` merge additively (they measure work actually executed);
-        ``memory_peaks`` merge by max.  Unknown keys are ignored so older
-        envelopes stay mergeable.
-        """
-        counters = envelope.get("counters", {})
-        if isinstance(counters, dict):
-            with self._lock:
-                for key, delta in counters.items():
-                    if isinstance(delta, int) and delta > 0:
-                        self._counts[key] = self._counts.get(key, 0) + delta
-        peaks = envelope.get("memory_peaks", {})
-        if isinstance(peaks, dict):
-            for stage_name, peak in peaks.items():
-                if isinstance(peak, int):
-                    self.record_memory_peak(str(stage_name), peak)
-
-    # -- queries ------------------------------------------------------------
     def stage_wall_seconds(self) -> dict[str, float]:
         """stage -> attributed wall seconds (a copy)."""
         with self._lock:

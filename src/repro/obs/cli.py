@@ -14,9 +14,10 @@ Subcommands operate on the JSON-lines trace files ``--trace`` appends
 ``html [--manifests FILE]... [--out report.html] [--last N]``
     Render the self-contained HTML dashboard (:mod:`repro.obs.html`) over
     one or more manifest histories: run-history trends, coverage and DL(T)
-    curves, n-detection depth, pipeline waterfall, worker lanes, resilience
-    and cost attribution.  One file, inline CSS and SVG, no scripts, no
-    external resources — open it anywhere, attach it to CI artifacts.
+    curves, n-detection depth, pipeline waterfall, redundancy prover,
+    resilience and cost attribution.  One file, inline CSS and SVG, no
+    scripts, no external resources — open it anywhere, attach it to CI
+    artifacts.
 ``diff FILE [A B]``
     Field-level comparison of two runs from one history file (indices
     default to the last two; negatives count from the end): configuration
@@ -163,15 +164,9 @@ def _manifest_row(
     index: int, source: str, manifest: RunManifest, with_job: bool = False
 ) -> list[str]:
     engine = manifest.engine or {}
-    engine_label = str(engine.get("engine", "?"))
-    # "kind" (python/numpy) appeared with the engine registry; manifests
-    # recorded before it simply show the serial/parallel mode alone.
-    if engine.get("kind"):
-        engine_label += f"/{engine['kind']}"
-    if engine.get("workers"):
-        engine_label += f"x{engine['workers']}"
-    if engine.get("degraded"):
-        engine_label += " (degraded)"
+    # Manifests record the kernel kind (python/numpy); older ones written
+    # before it existed show their serial/parallel mode instead.
+    engine_label = str(engine.get("kind") or engine.get("engine") or "?")
     results = manifest.results or {}
     final_dl = results.get("final_DL")
     theta_max = results.get("theta_max_fit")
@@ -211,10 +206,7 @@ def _manifest_json_row(
         "seed": manifest.seed,
         "git": manifest.git,
         "cache": manifest.cache,
-        "engine": engine.get("engine"),
         "engine_kind": engine.get("kind"),
-        "workers": engine.get("workers"),
-        "degraded": bool(engine.get("degraded")),
         "theta_max": float(theta_max) if theta_max is not None else None,
         "final_DL_ppm": (
             1e6 * float(final_dl) if final_dl is not None else None

@@ -99,12 +99,12 @@ class RunManifest:
     seed: int | None = None
     git: str | None = None
     cache: str | None = None  # "hit" | "miss" | None (not recorded)
-    #: Fault-simulation engine descriptor: name ("serial"/"parallel"),
-    #: word width, worker count.  Empty when not recorded.
+    #: Fault-simulation engine descriptor: kernel kind and word width
+    #: (older manifests also carry the serial/parallel mode and worker
+    #: count).  Empty when not recorded.
     engine: dict[str, object] = field(default_factory=dict)
     #: Resilience record of the run: stages restored vs recomputed from
-    #: checkpoints, engine degradation and salvage counts.  Empty when the
-    #: run had nothing to report (no checkpointing, no degradation).
+    #: checkpoints.  Empty when the run had nothing to report.
     resilience: dict[str, object] = field(default_factory=dict)
     #: span name -> cumulative wall seconds.
     stage_timings: dict[str, float] = field(default_factory=dict)

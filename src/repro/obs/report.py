@@ -184,7 +184,7 @@ def render_attribution(snapshot: dict[str, object]) -> str:
 
 
 def _render_engine(engine: dict[str, object]) -> str:
-    """One-block engine descriptor (``engine_info()`` of the last run)."""
+    """One-block descriptor of the engine that ran the stuck-at stage."""
     lines = ["engine:"]
     for key, value in engine.items():
         if value is None:
@@ -201,23 +201,11 @@ def render_profile(
     """The full ``--profile`` report: span tree, engine block, metric table.
 
     ``engine`` is the fault-simulation engine descriptor
-    (:meth:`~repro.simulation.parallel.ParallelFaultSimulator.engine_info`);
-    when given it renders between the tree and the metrics, and a one-line
-    resilience summary (retries / salvaged / serial chunks) follows the
-    metrics when the run had anything to report.
+    (``ExperimentResult.engine``); when given it renders between the tree
+    and the metrics.
     """
     parts = [render_span_tree(collector)]
     if engine:
         parts.append(_render_engine(engine))
     parts.append(render_metrics(registry))
-    retries = registry.counters.get("resilience.chunk_retries")
-    salvaged = registry.counters.get("resilience.chunks_salvaged")
-    degraded = registry.counters.get("resilience.degraded_runs")
-    if any(c is not None and c.value for c in (retries, salvaged, degraded)):
-        parts.append(
-            "resilience: "
-            f"{retries.value if retries else 0} chunk retries, "
-            f"{salvaged.value if salvaged else 0} chunks salvaged, "
-            f"{degraded.value if degraded else 0} degraded run(s)"
-        )
     return "\n\n".join(parts)

@@ -16,10 +16,10 @@ worker crashes, hangs and interrupted processes without restarting from zero
   named points, so every recovery path is *exercised* by tests and CI, not
   just claimed.
 
-The supervised fan-out consuming the taxonomy lives in
-:class:`repro.simulation.parallel.ParallelFaultSimulator`; the checkpointed
-pipeline in :func:`repro.experiments.pipeline.run_experiment`.  Policy and
-format details: ``docs/RESILIENCE.md``.
+The campaign supervisor (:mod:`repro.campaign.supervisor`) consumes the
+taxonomy and the retry policy; the checkpointed pipeline is
+:func:`repro.experiments.pipeline.run_experiment`.  Policy and format
+details: ``docs/RESILIENCE.md``.
 """
 
 from repro.resilience.chaos import (
@@ -39,7 +39,6 @@ from repro.resilience.errors import (
     CheckpointCorruptError,
     CheckpointError,
     ChunkFailure,
-    ChunkTimeoutError,
     FailureKind,
     FatalFailure,
     ResilienceError,
@@ -65,7 +64,6 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointError",
     "ChunkFailure",
-    "ChunkTimeoutError",
     "FailureKind",
     "FatalFailure",
     "ResilienceError",

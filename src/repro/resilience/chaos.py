@@ -13,11 +13,6 @@ Chaos points currently wired in:
 ========================  =====================================================
 point                     where / what it can inject
 ========================  =====================================================
-``parallel.chunk``        inside the worker, before simulating a fault chunk;
-                          kinds ``exception`` (transient), ``fatal``,
-                          ``crash`` (``os._exit``), ``sleep`` (breach the
-                          chunk deadline).  ``key`` = chunk id, ``attempt`` =
-                          pool attempt number.
 ``checkpoint.save``       cooperative: :class:`~repro.resilience.checkpoint.
                           CheckpointStore` mangles the file it just wrote;
                           kinds ``truncate``, ``corrupt``.  ``key`` = stage.
@@ -84,7 +79,7 @@ class ChaosRule:
         ``truncate`` | ``corrupt`` | ``expire`` (cooperative, applied by
         the call site).
     keys:
-        Hit keys (chunk ids, stage names) the rule fires on; None = all.
+        Hit keys (job ids, stage names) the rule fires on; None = all.
     attempts:
         Pool attempt numbers the rule fires on; None = all.  ``{0}`` makes a
         failure that heals on retry.
@@ -167,7 +162,7 @@ def uninstall() -> None:
 
 
 def current_plan() -> ChaosPlan | None:
-    """The active plan (shipped to pool workers by the fan-out)."""
+    """The active plan (shipped to campaign pool workers)."""
     return _PLAN
 
 
@@ -187,7 +182,7 @@ def maybe_inject(point: str, key: Hashable = None, attempt: int = 0) -> None:
 
     ``exception``/``fatal`` raise the typed chaos errors, ``crash`` kills the
     process the way a segfaulting worker would (``os._exit``), ``sleep``
-    stalls long enough to breach a chunk deadline.  Cooperative kinds
+    stalls long enough to breach a lease deadline.  Cooperative kinds
     (``truncate``/``corrupt``) are ignored here — the call site applies them
     via :func:`planned_kind`.
     """

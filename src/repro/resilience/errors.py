@@ -4,12 +4,11 @@ Every recovery decision in :mod:`repro.resilience` starts from one question:
 *is this failure worth retrying?*  The taxonomy answers it with two classes —
 
 * **transient** — the failure is environmental (a worker process died, a
-  chunk timed out, the OS refused a resource) and the same work may well
+  lease timed out, the OS refused a resource) and the same work may well
   succeed on a clean retry;
 * **fatal** — the failure is deterministic (a bug raised inside the
-  simulation code): retrying reproduces it, so the supervisor skips pool
-  retries and re-runs the chunk serially in the parent, where the real
-  exception propagates with full context instead of being swallowed.
+  simulation code): retrying reproduces it, so the campaign supervisor
+  quarantines the job at once instead of spending its retry budget.
 
 :func:`classify_failure` maps an arbitrary exception onto the taxonomy.
 Chaos-injected failures (:mod:`repro.resilience.chaos`) subclass the typed
@@ -25,7 +24,6 @@ __all__ = [
     "ResilienceError",
     "TransientFailure",
     "FatalFailure",
-    "ChunkTimeoutError",
     "WorkerCrashError",
     "CheckpointError",
     "CheckpointCorruptError",
@@ -47,10 +45,6 @@ class TransientFailure(ResilienceError):
 
 class FatalFailure(ResilienceError):
     """A deterministic failure: retrying reproduces it."""
-
-
-class ChunkTimeoutError(TransientFailure):
-    """A fault chunk did not complete within its deadline."""
 
 
 class WorkerCrashError(TransientFailure):

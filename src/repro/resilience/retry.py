@@ -15,14 +15,13 @@ __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how patiently failed chunks are re-attempted.
+    """How often and how patiently failed work is re-attempted.
 
     Attributes
     ----------
     max_attempts:
-        Total pool attempts per chunk, the first try included.  With the
-        default of 2, a failed chunk is retried once in a fresh pool before
-        the serial salvage phase takes over.
+        Total attempts, the first try included.  (Campaign jobs carry
+        their own budget; the supervisor uses only the backoff delays.)
     backoff_base:
         Delay in seconds before the first retry.
     backoff_factor:

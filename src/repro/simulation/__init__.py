@@ -1,13 +1,5 @@
 """Gate-level simulation substrate: logic sim, stuck-at faults, fault sim."""
 
-from repro.simulation.engines import (
-    ENGINE_KINDS,
-    ENGINE_NAMES,
-    EngineUnavailableError,
-    create_engine,
-    numpy_preflight,
-    resolve_engine,
-)
 from repro.simulation.fault_sim import ConeIndex, FaultSimResult, FaultSimulator
 from repro.simulation.faults import (
     FaultSite,
@@ -17,7 +9,6 @@ from repro.simulation.faults import (
 )
 from repro.simulation.logic_sim import LogicSimulator, pack_patterns, unpack_word
 from repro.simulation.numpy_sim import NumpyFaultSimulator, pack_bitslice
-from repro.simulation.parallel import DEFAULT_CROSSOVER, ParallelFaultSimulator
 from repro.simulation.transition import (
     TransitionFault,
     TransitionFaultSimulator,
@@ -26,28 +17,20 @@ from repro.simulation.transition import (
 )
 
 __all__ = [
-    "DEFAULT_CROSSOVER",
-    "ENGINE_KINDS",
-    "ENGINE_NAMES",
     "ConeIndex",
-    "EngineUnavailableError",
     "FaultSimResult",
     "FaultSimulator",
     "FaultSite",
     "LogicSimulator",
     "NumpyFaultSimulator",
-    "ParallelFaultSimulator",
     "StuckAtFault",
     "TransitionFault",
     "TransitionFaultSimulator",
     "TransitionSimResult",
     "collapse_faults",
-    "create_engine",
     "full_fault_universe",
-    "numpy_preflight",
     "pack_bitslice",
     "pack_patterns",
-    "resolve_engine",
     "transition_universe",
     "unpack_word",
 ]

@@ -23,8 +23,11 @@ Engine architecture (see ``docs/PERFORMANCE.md``):
   with fault dropping the cheap (easily detected, small-cone) faults retire
   first and the expensive cones are only walked while genuinely undetected.
 
-The multi-core fan-out lives in
-:class:`repro.simulation.parallel.ParallelFaultSimulator`.
+This is the pure-python reference engine.  The pipeline's stuck-at stage
+runs the numpy bitslice kernel
+(:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`), which is tested
+bit-exact against this one; random ATPG, PODEM, compaction, bridge ATPG,
+diagnosis and switch-level simulation call this engine directly.
 """
 
 from __future__ import annotations
@@ -244,9 +247,6 @@ class FaultSimulator:
         bit-exact across widths; wider words trade memory per value for
         fewer interpreted passes.
     """
-
-    #: Engine-registry kind (see :mod:`repro.simulation.engines`).
-    kind = "python"
 
     def __init__(self, circuit: Circuit, width: int = DEFAULT_WORD_WIDTH):
         self.circuit = circuit
@@ -515,9 +515,8 @@ class FaultSimulator:
     def pack(self, patterns: Sequence[Sequence[int]]) -> list[list[int]]:
         """Pack ``patterns`` into this engine's native packed-group form.
 
-        Part of the engine protocol (see :mod:`repro.simulation.engines`):
-        the parallel fan-out packs once per worker and replays fault chunks
-        against the packed form via :meth:`run_packed`.
+        Callers that replay one pattern set against several fault lists
+        pack once and call :meth:`run_packed`.
         """
         return pack_patterns(
             patterns, len(self.circuit.primary_inputs), self.width
@@ -547,43 +546,11 @@ class FaultSimulator:
     ) -> FaultSimResult:
         """Fault-simulate pre-packed pattern groups (packed at this width).
 
-        The multi-core fan-out packs once and re-runs chunks of the fault
-        list against the same groups; see
-        :class:`repro.simulation.parallel.ParallelFaultSimulator`.
+        Lets a caller pack once and re-run several fault lists against the
+        same groups.
         """
         if faults is None:
             faults = full_fault_universe(self.circuit)
-        first_detection, detection_counts = self._simulate_groups(
-            groups, n_patterns, faults, drop_detected
-        )
-        obs.set_gauge("fault_sim.word_width", self.width)
-        obs.inc("fault_sim.patterns_applied", n_patterns)
-        obs.inc("fault_sim.faults_simulated", len(faults))
-        if drop_detected:
-            obs.inc("fault_sim.faults_dropped", len(first_detection))
-        obs.inc("fault_sim.detections", sum(detection_counts.values()))
-        return FaultSimResult(
-            faults=list(faults),
-            first_detection=first_detection,
-            n_patterns=n_patterns,
-            detection_counts=detection_counts,
-        )
-
-    def _simulate_groups(
-        self,
-        groups: Sequence[Sequence[int]],
-        n_patterns: int,
-        faults: list[StuckAtFault],
-        drop_detected: bool,
-    ) -> tuple[dict[StuckAtFault, int], dict[StuckAtFault, int]]:
-        """The simulation core: span + group loop, **no counter updates**.
-
-        :meth:`run_packed` layers the ``fault_sim.*`` counters on top.  The
-        parallel engine's serial-salvage path calls this directly and
-        accounts for its chunks itself — counters are owned either by one
-        serial run or by the supervising parent, never both, so merged
-        parallel profiles match serial runs without double counting.
-        """
         first_detection: dict[StuckAtFault, int] = {}
         detection_counts: dict[StuckAtFault, int] = {}
         width = self.width
@@ -695,7 +662,18 @@ class FaultSimulator:
                         )
                 for block, drops in block_drops.items():
                     attr.add(f"block.{block:04d}.faults_dropped", drops)
-        return first_detection, detection_counts
+        obs.set_gauge("fault_sim.word_width", self.width)
+        obs.inc("fault_sim.patterns_applied", n_patterns)
+        obs.inc("fault_sim.faults_simulated", len(faults))
+        if drop_detected:
+            obs.inc("fault_sim.faults_dropped", len(first_detection))
+        obs.inc("fault_sim.detections", sum(detection_counts.values()))
+        return FaultSimResult(
+            faults=list(faults),
+            first_detection=first_detection,
+            n_patterns=n_patterns,
+            detection_counts=detection_counts,
+        )
 
     # ------------------------------------------------------------------
     def detects(self, fault: StuckAtFault, pattern: Sequence[int]) -> bool:

@@ -1,10 +1,16 @@
 """Numpy ``uint64`` bitslice fault-simulation engine.
 
-This is the performance engine behind the ``engine="numpy"`` knob (see
-:mod:`repro.simulation.engines`); the pure-python wide-word
-:class:`~repro.simulation.fault_sim.FaultSimulator` remains the reference
-implementation and both engines are bit-exact against each other
+This is the engine the pipeline's stuck-at stage runs; the pure-python
+wide-word :class:`~repro.simulation.fault_sim.FaultSimulator` remains the
+reference implementation and both engines are bit-exact against each other
 (``tests/test_engines.py``).
+
+The kernel's bit layout rests on platform assumptions (8-byte ``uint64``,
+64-bit shifts and complements, little-bit-order ``packbits`` words).
+:func:`check_bitslice_layout` probes them once per process, on the first
+:class:`NumpyFaultSimulator` construction, and raises ``RuntimeError``
+naming the failed probe rather than letting the kernel compute wrong
+detections.
 
 Layout
 ------
@@ -36,7 +42,7 @@ batch entirely once all of its lanes have dropped.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +67,7 @@ __all__ = [
     "DEFAULT_NUMPY_WIDTH",
     "DEFAULT_LANE_BATCH",
     "NumpyFaultSimulator",
+    "check_bitslice_layout",
     "pack_bitslice",
 ]
 
@@ -92,6 +99,55 @@ _CORE_UFUNC = {
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
+def _packbits_is_little_bit_order() -> bool:
+    bits = np.zeros((64, 1), dtype=np.uint8)
+    bits[[0, 2, 3, 63], 0] = 1
+    word = np.packbits(bits, axis=0, bitorder="little").T.copy().view(np.uint64)
+    return int(word[0, 0]) == (1 << 0) | (1 << 2) | (1 << 3) | (1 << 63)
+
+
+#: ``(name, probe)`` pairs for the layout assumptions the kernel rests on;
+#: each probe returns True when the platform behaves as assumed.
+_LAYOUT_PROBES: tuple[tuple[str, Callable[[], bool]], ...] = (
+    ("uint64 is 8 bytes wide", lambda: np.dtype(np.uint64).itemsize == 8),
+    (
+        "uint64 left shift is 64-bit",
+        lambda: int(np.uint64(1) << np.uint64(63)) == 1 << 63,
+    ),
+    (
+        "uint64 complement is 64-bit",
+        lambda: int(~np.uint64(0)) == (1 << 64) - 1,
+    ),
+    ("packbits words are little-bit-order", _packbits_is_little_bit_order),
+)
+
+#: Set once every layout probe has passed in this process.
+_layout_checked = False
+
+
+def check_bitslice_layout() -> None:
+    """Probe the bitslice layout assumptions once per process.
+
+    Raises ``RuntimeError`` naming the first probe that fails (or raises),
+    so a platform with an exotic byte order or a broken numpy build stops
+    before the kernel produces wrong detections.
+    """
+    global _layout_checked
+    if _layout_checked:
+        return
+    for name, probe in _LAYOUT_PROBES:
+        try:
+            ok = probe()
+        except Exception as exc:
+            raise RuntimeError(
+                f"numpy bitslice probe {name!r} raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        if not ok:
+            raise RuntimeError(f"numpy bitslice probe failed: {name}")
+    _layout_checked = True
+
+
 def pack_bitslice(
     patterns: Sequence[Sequence[int]], n_inputs: int
 ) -> np.ndarray:
@@ -115,8 +171,8 @@ def pack_bitslice(
     bits = (mat != 0).astype(np.uint8)
     n_words = -(-n_patterns // 64)
     # Pack per input column, little bit order, then view each input's padded
-    # byte row as uint64 words (byte 0 == bits 0..7 — verified by the engine
-    # preflight on platforms where the byte order could differ).
+    # byte row as uint64 words (byte 0 == bits 0..7 — verified by
+    # check_bitslice_layout on platforms where the byte order could differ).
     packed_bytes = np.packbits(bits, axis=0, bitorder="little")
     padded = np.zeros((n_inputs, n_words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[0]] = packed_bytes.T
@@ -193,7 +249,7 @@ class NumpyFaultSimulator:
         per-gate dispatch further but widen the cone unions.
     """
 
-    #: Engine-registry kind (see :mod:`repro.simulation.engines`).
+    #: Engine tag, recorded on the ``fault_sim.run`` span.
     kind = "numpy"
 
     def __init__(
@@ -209,6 +265,7 @@ class NumpyFaultSimulator:
             )
         if lane_batch < 1:
             raise ValueError(f"lane_batch must be positive, got {lane_batch}")
+        check_bitslice_layout()
         self.circuit = circuit
         self.width = width
         self.lane_batch = lane_batch
@@ -494,36 +551,6 @@ class NumpyFaultSimulator:
         """Fault-simulate a pre-packed bitslice array (from :meth:`pack`)."""
         if faults is None:
             faults = full_fault_universe(self.circuit)
-        first_detection, detection_counts = self._simulate_groups(
-            packed, n_patterns, faults, drop_detected
-        )
-        obs.set_gauge("fault_sim.word_width", self.width)
-        obs.inc("fault_sim.patterns_applied", n_patterns)
-        obs.inc("fault_sim.faults_simulated", len(faults))
-        if drop_detected:
-            obs.inc("fault_sim.faults_dropped", len(first_detection))
-        obs.inc("fault_sim.detections", sum(detection_counts.values()))
-        return FaultSimResult(
-            faults=list(faults),
-            first_detection=first_detection,
-            n_patterns=n_patterns,
-            detection_counts=detection_counts,
-        )
-
-    def _simulate_groups(
-        self,
-        packed: np.ndarray,
-        n_patterns: int,
-        faults: list[StuckAtFault],
-        drop_detected: bool,
-    ) -> tuple[dict[StuckAtFault, int], dict[StuckAtFault, int]]:
-        """The simulation core: span + block loop, **no counter updates**.
-
-        Mirrors the python engine's contract exactly (see
-        :meth:`FaultSimulator._simulate_groups`): :meth:`run_packed` layers
-        the ``fault_sim.*`` counters on top and the parallel fan-out's
-        salvage path calls this directly.
-        """
         first_detection: dict[StuckAtFault, int] = {}
         detection_counts: dict[StuckAtFault, int] = {}
         width = self.width
@@ -687,4 +714,15 @@ class NumpyFaultSimulator:
                         )
                 for block, drops in block_drops.items():
                     attr.add(f"block.{block:04d}.faults_dropped", drops)
-        return first_detection, detection_counts
+        obs.set_gauge("fault_sim.word_width", self.width)
+        obs.inc("fault_sim.patterns_applied", n_patterns)
+        obs.inc("fault_sim.faults_simulated", len(faults))
+        if drop_detected:
+            obs.inc("fault_sim.faults_dropped", len(first_detection))
+        obs.inc("fault_sim.detections", sum(detection_counts.values()))
+        return FaultSimResult(
+            faults=list(faults),
+            first_detection=first_detection,
+            n_patterns=n_patterns,
+            detection_counts=detection_counts,
+        )

@@ -1,4 +1,4 @@
-"""Cost attribution: kernel counters, stage timers, merge and reconcile.
+"""Cost attribution: kernel counters, stage timers and reconcile.
 
 The attribution layer's acceptance properties:
 
@@ -6,11 +6,6 @@ The attribution layer's acceptance properties:
   ``n_groups x sum(cone sizes)`` and every internal total reconciles
   (cone buckets sum to the stage total, block drops sum to the dropped
   count);
-* work-additivity — a parallel run's merged counters equal the serial
-  run's on the faulty-machine side (per-fault work is independent of the
-  partition), while good-machine work may exceed serial (each chunk
-  re-simulates the good circuit: that is real executed work, and the
-  attribution layer reports executed work, not logical work);
 * neutrality — enabling attribution never changes simulation results;
 * isolation — disabled means no collector, no counters, no tracemalloc.
 """
@@ -20,11 +15,7 @@ import random
 import pytest
 
 from repro.obs import attribution
-from repro.simulation import (
-    FaultSimulator,
-    ParallelFaultSimulator,
-    collapse_faults,
-)
+from repro.simulation import FaultSimulator, collapse_faults
 
 
 @pytest.fixture(autouse=True)
@@ -113,23 +104,6 @@ def test_reconcile_coverage():
     assert rec["coverage"] == pytest.approx(0.9)
 
 
-def test_merge_envelope_counters_add_memory_maxes():
-    collector = attribution.AttributionCollector()
-    collector.add("stage.fault_sim.gate_evals", 10)
-    collector.record_memory_peak("stage", 100)
-    collector.merge_envelope(
-        {
-            "counters": {"stage.fault_sim.gate_evals": 5, "new.key": 2},
-            "memory_peaks": {"stage": 50, "other": 80},
-        }
-    )
-    values = collector.counter_values()
-    assert values["stage.fault_sim.gate_evals"] == 15
-    assert values["new.key"] == 2
-    snap = collector.snapshot()
-    assert snap["memory_peak_bytes"] == {"stage": 100, "other": 80}
-
-
 def test_stage_timer_noop_when_disabled():
     with attribution.stage("anything"):
         pass
@@ -204,41 +178,6 @@ def test_disabled_runs_record_nothing(c17_circuit):
     patterns = _patterns(c17_circuit, 20)
     FaultSimulator(c17_circuit, width=64).run(patterns)
     assert attribution.collector() is None
-
-
-# ---------------------------------------------------------------------------
-# Parallel merge
-# ---------------------------------------------------------------------------
-def test_parallel_faulty_work_matches_serial(c432_circuit):
-    patterns = _patterns(c432_circuit, 64)
-    faults = collapse_faults(c432_circuit)
-
-    _, serial_values, _ = _run_attributed(
-        c432_circuit, patterns, faults, width=256
-    )
-
-    attribution.enable()
-    pool = ParallelFaultSimulator(
-        c432_circuit, width=256, max_workers=2, crossover=0
-    )
-    result = pool.run(patterns, faults=faults)
-    merged = attribution.collector().counter_values()
-    attribution.disable()
-
-    assert pool.last_engine == "parallel"
-    assert result.first_detection  # the job actually detected something
-    # Per-fault work is independent of the partition: faulty-machine
-    # gate-evals merge to exactly the serial total.
-    assert (
-        merged["stage.fault_sim.gate_evals"]
-        == serial_values["stage.fault_sim.gate_evals"]
-    )
-    # Good-machine work is executed per chunk — work-additive semantics
-    # report MORE than serial, never less.
-    assert (
-        merged["stage.fault_sim.good_gate_evals"]
-        >= serial_values["stage.fault_sim.good_gate_evals"]
-    )
 
 
 def test_memory_peaks_recorded_when_enabled():

@@ -27,8 +27,17 @@ def test_config_from_dict_round_trips_config_to_dict():
 
 
 def test_config_from_dict_rejects_unknown_field():
-    with pytest.raises(CampaignSpecError, match="unknown ExperimentConfig"):
-        config_from_dict({"benchmark": "c17", "warp_factor": 9})
+    # Removed knobs (the old engine registry and process pool) are unknown
+    # too: a journal or spec that still names them fails loudly.
+    for name, value in (
+        ("warp_factor", 9),
+        ("engine", "auto"),
+        ("fault_sim_workers", 2),
+    ):
+        with pytest.raises(
+            CampaignSpecError, match=f"unknown ExperimentConfig field.*{name}"
+        ):
+            config_from_dict({"benchmark": "c17", name: value})
 
 
 def test_config_from_dict_rejects_custom_statistics():

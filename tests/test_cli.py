@@ -74,7 +74,7 @@ def test_cli_profile_includes_engine_block(capsys):
     out = capsys.readouterr().out
     assert "engine:" in out
     assert "word_width:" in out
-    assert "workers:" in out
+    assert "kind: numpy" in out
 
 
 def test_cli_events_stream_ends_with_terminal_stage_events(capsys, tmp_path):
@@ -305,40 +305,31 @@ def test_cli_trace_writes_manifest(capsys, tmp_path):
     assert manifests[1].cache == "hit"
 
 
-def test_cli_engine_numpy_preflight_failure_exits_2(capsys, monkeypatch):
-    from repro.simulation import engines
-
-    monkeypatch.setattr(
-        engines, "numpy_preflight", lambda: (False, "probe forced to fail")
-    )
-    code = main(["c17", "--engine", "numpy"])
-    assert code == 2
-    err = capsys.readouterr().err
-    # Exactly one line, naming the reason — no traceback, no partial run.
-    assert err.count("\n") == 1
-    assert "probe forced to fail" in err
-    assert "--engine numpy" in err
-
-
-def test_cli_engine_auto_records_choice_in_manifest(capsys, tmp_path):
+def test_cli_manifest_records_numpy_engine(capsys, tmp_path):
     from repro.obs.manifest import read_manifests
 
     trace = tmp_path / "runs.jsonl"
-    code = main(["c17", "--seed", "424242", "--engine", "auto", "--trace", str(trace)])
+    code = main(["c17", "--seed", "424242", "--trace", str(trace)])
     assert code == 0
     capsys.readouterr()
     (manifest,) = read_manifests(str(trace))
-    assert manifest.config["engine"] == "auto"
-    engine = manifest.engine
-    assert engine["requested"] == "auto"
-    assert engine["kind"] in ("python", "numpy")
-    assert str(engine["reason"]).startswith("auto: ")
-    assert engine["crossover"] > 0
+    assert "engine" not in manifest.config
+    assert manifest.engine == {"kind": "numpy", "word_width": 1024}
 
 
-def test_cli_engine_rejects_unknown_name(capsys):
-    with pytest.raises(SystemExit):
-        main(["c17", "--engine", "fortran"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--engine", "numpy"],
+        ["--fault-sim-retries", "3"],
+        ["--chunk-timeout", "30"],
+    ],
+)
+def test_cli_rejects_removed_engine_and_pool_flags(capsys, flags):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["c17", *flags])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_analyze_prove_prints_prover_summary(capsys):
@@ -363,7 +354,7 @@ def test_cli_analyze_certificates_file(capsys, tmp_path):
     assert code == 0
     assert "4 certificates written to" in capsys.readouterr().out
     payload = json.loads(certs_file.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     certs = payload["certificates"]["alu4"]
     assert len(certs) == 4
     # The written certificates stand on their own: an independent checker
@@ -375,17 +366,12 @@ def test_cli_analyze_certificates_file(capsys, tmp_path):
 def test_cli_analyze_json_schema_version_and_engine_preflight(tmp_path):
     import json
 
-    from repro.simulation.engines import ENGINE_NAMES
-
     report = tmp_path / "analysis.json"
     code = main(["analyze", "c17", "--quick", "--json", str(report)])
     assert code == 0
     payload = json.loads(report.read_text())
-    assert payload["schema_version"] == 2
-    preflight = payload["engine_preflight"]
-    assert preflight["names"] == sorted(ENGINE_NAMES)
-    assert set(preflight["numpy"]) == {"ok", "reason"}
-    assert isinstance(preflight["numpy"]["ok"], bool)
+    assert payload["schema_version"] == 3
+    assert "engine_preflight" not in payload
     assert [c["circuit"] for c in payload["circuits"]] == ["c17"]
 
 
@@ -416,31 +402,6 @@ def test_cli_analyze_certificates_requires_prove(capsys, tmp_path):
     assert code == 2
     assert "--certificates requires --prove" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
-
-
-def test_cli_fault_sim_retries_and_chunk_timeout_accepted(capsys):
-    code = main(
-        ["c17", "--seed", "4242", "--fault-sim-retries", "3",
-         "--chunk-timeout", "30"]
-    )
-    assert code == 0
-    assert "fit of eq. 11" in capsys.readouterr().out
-
-
-def test_cli_fault_sim_retries_invalid_exits_2(capsys):
-    code = main(["c17", "--fault-sim-retries", "0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "invalid configuration" in err
-    assert "fault_sim_retries" in err
-
-
-def test_cli_chunk_timeout_invalid_exits_2(capsys):
-    code = main(["c17", "--chunk-timeout", "-5"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "invalid configuration" in err
-    assert "chunk_timeout" in err
 
 
 def test_cli_keyboard_interrupt_exits_130_with_resume_hint(

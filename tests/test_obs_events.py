@@ -51,7 +51,7 @@ def test_event_record_round_trip():
         ),
         StageEvent(stage="atpg", status="end", wall_s=1.25, data={"n": 3}),
         RetryEvent(
-            point="parallel.chunk",
+            point="campaign.job",
             key=2,
             attempt=1,
             reason="boom",
@@ -195,7 +195,7 @@ def test_renderer_gives_stage_retry_checkpoint_their_own_lines():
     renderer(StageEvent(stage="atpg", status="end", wall_s=2.0, data={"n": 1}))
     renderer(
         RetryEvent(
-            point="parallel.chunk", key=1, attempt=1, reason="x", delay_s=0.25
+            point="campaign.job", key=1, attempt=1, reason="x", delay_s=0.25
         )
     )
     renderer(CheckpointEvent(stage="atpg", action="save"))
@@ -203,7 +203,7 @@ def test_renderer_gives_stage_retry_checkpoint_their_own_lines():
     lines = stream.getvalue().splitlines()
     assert lines[0] == "[atpg] started"
     assert lines[1].startswith("[atpg] done in 2.00s")
-    assert "[retry] parallel.chunk key=1" in lines[2]
+    assert "[retry] campaign.job key=1" in lines[2]
     assert lines[3] == "[checkpoint] save atpg"
 
 

@@ -36,11 +36,8 @@ def _manifest(seed=1, **overrides):
         seed=seed,
         git="abc1234",
         cache="miss",
-        engine={"engine": "serial", "workers": 1},
+        engine={"kind": "numpy", "word_width": 1024},
         resilience={
-            "chunk_retries": 1,
-            "chunks_salvaged": 0,
-            "engine_degraded": False,
             "stages_restored": ["atpg"],
             "stages_recomputed": [],
         },
@@ -65,7 +62,7 @@ def _manifest(seed=1, **overrides):
                     },
                     {
                         "name": "fault_sim.run",
-                        "attributes": {"worker_pid": 4242, "chunk_id": 0},
+                        "attributes": {"engine": "numpy"},
                         "wall_s": 0.1,
                         "cpu_s": 0.1,
                         "t0": 10.2,
@@ -134,8 +131,8 @@ def test_full_report_has_every_panel_and_no_external_refs():
     _assert_self_contained(html)
     assert html.count("<svg") >= 5
     assert "<!DOCTYPE html>" in html
-    # Data made it into the marks: the worker lane and the cone buckets.
-    assert "pid 4242" in html
+    # Data made it into the marks: the waterfall and the cone buckets.
+    assert "fault_sim.run" in html
     assert "le_0004" in html
 
 
@@ -158,6 +155,42 @@ def test_report_on_old_schema_manifest_degrades_gracefully():
     assert "--attribution" in html
     assert "no spans" in html
 
+    # A manifest from the in-run process pool era: worker-tagged chunk
+    # spans, a serial/parallel engine descriptor and chunk-retry
+    # resilience keys.  The page still renders; the pool fields are
+    # ignored and the checkpoint counts still show.
+    pool_era = _manifest(
+        4,
+        engine={"engine": "parallel", "kind": "numpy", "workers": 2,
+                "degraded": True, "crossover": 48_000_000},
+        resilience={
+            "chunk_retries": 3,
+            "chunks_salvaged": 1,
+            "engine_degraded": True,
+            "degraded_reason": "ChaosInjectedError: boom",
+            "stages_restored": ["atpg", "stuck_sim"],
+            "stages_recomputed": [],
+        },
+    )
+    pool_era.spans[0]["children"].append(
+        {
+            "name": "fault_sim.run",
+            "attributes": {"worker_pid": 4242, "chunk_id": 1},
+            "wall_s": 0.1,
+            "cpu_s": 0.1,
+            "t0": 10.3,
+            "t1": 10.4,
+            "children": [],
+        }
+    )
+    html = build_report([old, pool_era])
+    for panel_id in PANEL_IDS:
+        assert f'id="{panel_id}"' in html
+    _assert_self_contained(html)
+    assert "fault-sim engine: numpy" in html
+    assert "stages restored" in html
+    assert "chunk retries" not in html
+
 
 def test_report_labels_runs_by_engine_kind():
     new_style = _manifest(
@@ -179,7 +212,10 @@ def test_report_labels_runs_by_engine_kind():
 def test_report_on_pre_engine_kind_manifests_degrades_gracefully():
     # Histories recorded before the engine registry carry no "kind": the
     # panels render unlabelled rather than guessing (or crashing).
-    old = [_manifest(6), _manifest(7, engine={})]
+    old = [
+        _manifest(6, engine={"engine": "serial", "workers": 1}),
+        _manifest(7, engine={}),
+    ]
     html = build_report(old)
     for panel_id in PANEL_IDS:
         assert f'id="{panel_id}"' in html

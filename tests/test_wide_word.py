@@ -7,23 +7,19 @@ randomly generated circuits and pattern sets:
   word width;
 * logic simulation is width-invariant — ``output_words`` agrees across
   widths and with the scalar simulator;
-* fault simulation is width- and engine-invariant — ``FaultSimResult`` is
-  identical (first detections *and* detection counts) across widths
-  {64, 256, 1024} and between the serial engine and the multi-process one.
+* fault simulation is width-invariant — ``FaultSimResult`` is identical
+  (first detections *and* detection counts) across widths {64, 256, 1024}.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit, GateType, c17
-from repro.circuit.iscas import c432_like
 from repro.simulation import (
     FaultSimulator,
     LogicSimulator,
-    ParallelFaultSimulator,
     collapse_faults,
     pack_patterns,
     unpack_word,
@@ -146,76 +142,3 @@ def test_fault_sim_width_invariance_on_random_circuits(ckt, seed, n_patterns):
         )
         assert result.first_detection == reference.first_detection
         assert result.detection_counts == reference.detection_counts
-
-
-def test_fault_sim_result_bit_exact_serial_vs_parallel():
-    ckt = c432_like()
-    faults = collapse_faults(ckt)
-    rng = random.Random(1234)
-    n = len(ckt.primary_inputs)
-    patterns = [[rng.randint(0, 1) for _ in range(n)] for _ in range(256)]
-
-    for drop in (True, False):
-        serial = FaultSimulator(ckt).run(
-            patterns, faults=faults, drop_detected=drop
-        )
-        pool = ParallelFaultSimulator(ckt, max_workers=2, crossover=0)
-        parallel = pool.run(patterns, faults=faults, drop_detected=drop)
-        assert pool.last_engine == "parallel"
-        assert pool.last_workers == 2
-        assert parallel.first_detection == serial.first_detection
-        assert parallel.detection_counts == serial.detection_counts
-        assert parallel.faults == serial.faults
-        assert parallel.n_patterns == serial.n_patterns
-
-
-def test_parallel_pool_failure_degrades_loudly(monkeypatch):
-    import concurrent.futures as cf
-
-    class _BrokenPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("process pools unavailable")
-
-    monkeypatch.setattr(cf, "ProcessPoolExecutor", _BrokenPool)
-
-    ckt = c17()
-    faults = collapse_faults(ckt)
-    rng = random.Random(99)
-    patterns = [[rng.randint(0, 1) for _ in range(5)] for _ in range(64)]
-
-    pool = ParallelFaultSimulator(ckt, max_workers=2, crossover=0)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        result = pool.run(patterns, faults=faults)
-
-    assert pool.last_engine == "serial"
-    info = pool.engine_info()
-    assert info["degraded"] is True
-    assert "OSError" in str(info["degraded_reason"])
-    serial = FaultSimulator(ckt).run(patterns, faults=faults)
-    assert result.first_detection == serial.first_detection
-    assert result.detection_counts == serial.detection_counts
-
-
-def test_parallel_degrades_to_serial_below_crossover():
-    ckt = c17()
-    faults = collapse_faults(ckt)
-    patterns = [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1]]
-
-    pool = ParallelFaultSimulator(ckt, max_workers=4)
-    result = pool.run(patterns, faults=faults)
-    assert pool.last_engine == "serial"
-    assert pool.last_workers == 1
-    serial = FaultSimulator(ckt).run(patterns, faults=faults)
-    assert result.first_detection == serial.first_detection
-
-
-def test_parallel_engine_info_reports_configuration():
-    ckt = c17()
-    pool = ParallelFaultSimulator(ckt, width=128, max_workers=3)
-    info = pool.engine_info()
-    assert info["word_width"] == 128
-    assert {"engine", "word_width", "workers", "degraded", "degraded_reason"} <= set(
-        info
-    )
-    assert info["degraded"] is False
-    assert info["degraded_reason"] is None
