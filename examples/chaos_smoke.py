@@ -38,7 +38,11 @@ def check_resume_after_crash() -> None:
 
         resumed = run_experiment(config, checkpoint_dir=checkpoint_dir, resume=True)
 
-    assert resumed.stages_restored == ["atpg", "stuck_sim"], resumed.stages_restored
+    assert resumed.stages_restored == [
+        "static_analysis",
+        "atpg",
+        "stuck_sim",
+    ], resumed.stages_restored
     assert resumed.stages_recomputed == ["extraction", "switch_sim"]
     assert resumed.test_patterns == reference.test_patterns
     assert resumed.stuck_result.first_detection == reference.stuck_result.first_detection

@@ -78,7 +78,7 @@ from repro.experiments import (
     format_table,
     run_experiment,
 )
-from repro.resilience import CheckpointError
+from repro.resilience import StoreError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
             # the user explicitly asked to reuse.
             strict_checkpoints=bool(args.checkpoint_dir),
         )
-    except CheckpointError as exc:
+    except StoreError as exc:
         print(f"error: checkpoint failure: {exc}", file=sys.stderr)
         close_consumers()
         return 2

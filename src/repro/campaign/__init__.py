@@ -11,7 +11,8 @@ One campaign = one directory = one write-ahead journal.  The package treats
 * :mod:`repro.campaign.state` — exact state reconstruction by replaying the
   journal (:class:`CampaignState`);
 * :mod:`repro.campaign.store` — the content-addressed result store that
-  serves re-submitted sweeps from cache (:class:`ResultStore`);
+  serves re-submitted sweeps from cache (:class:`ResultStore`, over the
+  shared :class:`repro.resilience.store.ArtifactStore`);
 * :mod:`repro.campaign.supervisor` — the leased, heartbeat-monitored
   process-pool scheduler (:class:`CampaignSupervisor`), which also bridges
   worker events back onto the supervisor's bus tagged per job;
@@ -36,12 +37,7 @@ from repro.campaign.spec import (
     load_spec,
 )
 from repro.campaign.state import CampaignState, JobState, campaign_record
-from repro.campaign.store import (
-    ResultCorruptError,
-    ResultStore,
-    record_sha256,
-    result_record,
-)
+from repro.campaign.store import ResultStore, record_sha256, result_record
 from repro.campaign.supervisor import CampaignReport, CampaignSupervisor
 from repro.campaign.telemetry import FleetRenderer
 
@@ -58,7 +54,6 @@ __all__ = [
     "JobState",
     "campaign_record",
     "ResultStore",
-    "ResultCorruptError",
     "result_record",
     "record_sha256",
     "CampaignSupervisor",

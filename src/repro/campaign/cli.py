@@ -41,9 +41,8 @@ from repro.campaign.journal import (
 )
 from repro.campaign.spec import CampaignSpecError, load_spec
 from repro.campaign.state import DONE, LEASED, PENDING, QUARANTINED, CampaignState
-from repro.campaign.store import ResultStore, dir_size_bytes
 from repro.campaign.supervisor import DEFAULT_LEASE_TIMEOUT, CampaignSupervisor
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.store import ArtifactStore, StoreError
 
 __all__ = ["campaign_main", "build_campaign_parser"]
 
@@ -348,7 +347,7 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
                 lease_timeout=args.lease_timeout,
                 results_dir=args.results_dir,
             )
-        except (JournalError, OSError, ValueError) as exc:
+        except (JournalError, OSError, StoreError, ValueError) as exc:
             print(f"error: cannot open campaign: {exc}", file=sys.stderr)
             return 2
         if spec is not None:
@@ -647,45 +646,26 @@ def _gc(args: argparse.Namespace) -> int:
         print(f"error: cannot load campaign: {exc}", file=sys.stderr)
         return 2
     keep = _keep_hashes(state, home / "manifests.jsonl")
-    results_root = Path(
-        args.results_dir if args.results_dir else home / "results"
-    )
-    store = ResultStore(results_root)
-    candidates = [j for j in store.job_ids() if j not in keep]
-    if args.dry_run:
-        would_free = sum(
-            dir_size_bytes(results_root / job_id) for job_id in candidates
-        )
-        print(
-            f"gc (dry run): would remove {len(candidates)} result dir(s), "
-            f"{_fmt_bytes(would_free)} from {results_root}"
-        )
-        removed, reclaimed = len(candidates), would_free
-    else:
-        removed, reclaimed = store.prune(keep)
-        print(
-            f"gc: removed {removed} result dir(s), "
-            f"{_fmt_bytes(reclaimed)} reclaimed from {results_root}"
-        )
+    roots = [("result", Path(args.results_dir or home / "results"))]
     if args.checkpoint_dir:
-        ckpt_root = Path(args.checkpoint_dir)
+        roots.append(("checkpoint", Path(args.checkpoint_dir)))
+    for kind, root in roots:
+        try:
+            removed, reclaimed = ArtifactStore(root).prune(
+                keep, dry_run=args.dry_run
+            )
+        except (OSError, StoreError) as exc:
+            print(f"error: cannot prune {root}: {exc}", file=sys.stderr)
+            return 2
         if args.dry_run:
-            n = sum(
-                1
-                for entry in ckpt_root.iterdir()
-                if entry.is_dir() and entry.name not in keep
-            ) if ckpt_root.is_dir() else 0
             print(
-                f"gc (dry run): would prune up to {n} checkpoint dir(s) "
-                f"from {ckpt_root}"
+                f"gc (dry run): would remove {removed} {kind} dir(s), "
+                f"{_fmt_bytes(reclaimed)} from {root}"
             )
         else:
-            ck_removed, ck_reclaimed = CheckpointStore.prune(ckpt_root, keep)
-            removed += ck_removed
-            reclaimed += ck_reclaimed
             print(
-                f"gc: removed {ck_removed} checkpoint dir(s), "
-                f"{_fmt_bytes(ck_reclaimed)} reclaimed from {ckpt_root}"
+                f"gc: removed {removed} {kind} dir(s), "
+                f"{_fmt_bytes(reclaimed)} reclaimed from {root}"
             )
     print(f"kept {len(keep)} hash(es) still in journal/manifest history")
     return 0

@@ -18,7 +18,8 @@ only file the supervisor must get right under crashes.  The discipline:
   raises :class:`JournalCorruptError` rather than rebuilding wrong state.
   Out-of-order or duplicated ``seq`` values are rejected the same way.
 * **Atomic snapshot compaction.**  :meth:`Journal.compact` publishes a
-  digest-checked ``snapshot.json`` (temp file + ``os.replace``) holding a
+  digest-checked ``snapshot.json`` (via
+  :func:`repro.resilience.store.atomic_write`) holding a
   state payload and the last sequence number it covers, then atomically
   replaces the journal with only the records past the snapshot.  Replay is
   idempotent across a crash *between* those two steps because records at or
@@ -40,6 +41,7 @@ from typing import IO
 
 from repro import obs
 from repro.resilience import chaos
+from repro.resilience.store import atomic_write
 
 __all__ = [
     "Journal",
@@ -286,8 +288,8 @@ class Journal:
 
         ``state_payload`` must be the state reconstructed from everything
         currently acknowledged (the caller replays first).  The snapshot is
-        published with ``os.replace`` before the journal is truncated (also
-        via ``os.replace``), so a crash at any point leaves a replayable
+        published atomically before the journal is (atomically) truncated,
+        so a crash at any point leaves a replayable
         pair: snapshot-then-full-journal replays are de-duplicated by
         sequence number.
         """
@@ -308,15 +310,12 @@ class Journal:
             # on purpose — old snapshots without it stay verifiable.
             "compacted_ts": round(time.time(), 6),
         }
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(snapshot, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
+            atomic_write(
+                self.snapshot_path,
+                (json.dumps(snapshot, sort_keys=True) + "\n").encode("utf-8"),
+            )
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise JournalError(
                 f"cannot write snapshot {self.snapshot_path}: {exc}"
             ) from exc
@@ -324,14 +323,9 @@ class Journal:
         # journal restarts empty (records, if any arrived concurrently,
         # would carry higher seqs — the supervisor is single-writer, so in
         # practice the new journal starts empty).
-        tmp_journal = self.path.with_suffix(".jsonl.tmp")
         try:
-            with open(tmp_journal, "w", encoding="utf-8") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_journal, self.path)
+            atomic_write(self.path, b"")
         except OSError as exc:
-            tmp_journal.unlink(missing_ok=True)
             raise JournalError(
                 f"cannot truncate journal {self.path}: {exc}"
             ) from exc

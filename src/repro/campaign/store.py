@@ -1,52 +1,44 @@
 """Content-addressed campaign results keyed by experiment-configuration hash.
 
-A :class:`ResultStore` persists one canonical **result record** per job
-under ``<root>/<job_id>/result.json``, with the same atomic, digest-verified
-file discipline as :class:`repro.resilience.checkpoint.CheckpointStore`:
-writes publish via temp-file + ``os.replace``, loads verify payload size and
-SHA-256 before anything is trusted.  Because the job id *is* the config
-hash, any re-submitted or overlapping sweep that expands to a job already in
-the store is served from cache — zero fault simulation — and served
+A :class:`ResultStore` persists one canonical **result record** per job as
+entry ``<root>/<job_id>/result.json`` of a
+:class:`repro.resilience.store.ArtifactStore` — the same sealed, atomic,
+digest-verified file the pipeline's stage checkpoints use.  The entry's
+payload is the record's canonical JSON, so the envelope digest *is*
+:func:`record_sha256`.  Because the job id *is* the config hash, any
+re-submitted or overlapping sweep that expands to a job already in the store
+is served from cache — zero fault simulation — and served
 **bit-identically**: the record stores only deterministic outputs of
 :func:`repro.experiments.run_experiment` (series, fit, detection digests),
 never wall-clock facts.
 
-:func:`result_record` defines that canonical record;
-:func:`ResultStore.prune` is the unbounded-growth valve used by
-``python -m repro campaign gc``.
+:func:`result_record` defines that canonical record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
-import warnings
 from pathlib import Path
 
-from repro import obs
 from repro.experiments.pipeline import ExperimentResult
+from repro.resilience.store import ArtifactStore
 
-__all__ = [
-    "ResultStore",
-    "ResultCorruptError",
-    "result_record",
-    "record_sha256",
-    "dir_size_bytes",
-]
+__all__ = ["ResultStore", "result_record", "record_sha256"]
 
 _RESULT_MAGIC = "repro-campaign-result/1"
+#: Also the name of the older unsealed result files, so one of those fails
+#: the store's magic check loudly instead of lingering unseen.
+RESULT_NAME = "result.json"
 
 
-class ResultCorruptError(Exception):
-    """A stored result failed its integrity check."""
+def _canonical(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True).encode()
 
 
 def record_sha256(record: dict) -> str:
     """Digest of a result record's canonical JSON form."""
-    blob = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(record)).hexdigest()
 
 
 def result_record(result: ExperimentResult) -> dict:
@@ -95,148 +87,36 @@ def result_record(result: ExperimentResult) -> dict:
     }
 
 
-def dir_size_bytes(path: Path) -> int:
-    """Total size of every regular file under ``path``."""
-    total = 0
-    for entry in path.rglob("*"):
-        try:
-            if entry.is_file():
-                total += entry.stat().st_size
-        except OSError:
-            continue
-    return total
-
-
 class ResultStore:
-    """Atomic, digest-verified result files keyed by job (config) hash."""
+    """Campaign result records over an :class:`ArtifactStore`, one per job.
+
+    ``strict`` is the store's corrupt-entry policy: raise
+    :class:`~repro.resilience.errors.StoreCorruptError`, or (default) warn,
+    count and recompute.
+    """
 
     def __init__(self, root: str | Path, strict: bool = False):
-        self.root = Path(root)
-        self.strict = strict
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise OSError(
-                f"cannot create result store {self.root}: {exc}"
-            ) from exc
+        self.artifacts = ArtifactStore(root, strict=strict)
+        self.root = self.artifacts.root
 
     def path_for(self, job_id: str) -> Path:
-        return self.root / job_id / "result.json"
+        return self.artifacts.path(job_id, RESULT_NAME)
 
     def has(self, job_id: str) -> bool:
         """True when a result file exists for ``job_id`` (unverified)."""
-        return self.path_for(job_id).exists()
+        return self.artifacts.has(job_id, RESULT_NAME)
 
     def job_ids(self) -> list[str]:
         """Every job hash with a result file, sorted."""
-        return sorted(
-            p.parent.name for p in self.root.glob("*/result.json")
-        )
+        return sorted(p.parent.name for p in self.root.glob(f"*/{RESULT_NAME}"))
 
-    # ------------------------------------------------------------------
+    # ``save``/``load`` stay in this class body: perfbench's tracer patches
+    # them by name on the class itself.
     def save(self, job_id: str, record: dict) -> str:
-        """Atomically persist ``record``; returns its canonical sha256."""
-        sha = record_sha256(record)
-        blob = json.dumps(record, sort_keys=True)
-        envelope = json.dumps(
-            {
-                "magic": _RESULT_MAGIC,
-                "job_id": job_id,
-                "payload_sha256": sha,
-                "payload_size": len(blob),
-                "record": record,
-            },
-            sort_keys=True,
-        )
-        path = self.path_for(job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(envelope + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise OSError(f"cannot write result {path}: {exc}") from exc
-        obs.inc("campaign.results_saved")
-        return sha
+        """Atomically persist ``record``; returns :func:`record_sha256`."""
+        return self.artifacts.save(job_id, RESULT_NAME, _canonical(record))
 
     def load(self, job_id: str) -> dict | None:
-        """The verified result record for ``job_id``, or None when absent.
-
-        A corrupt file raises :class:`ResultCorruptError` in strict mode;
-        otherwise it is warned about, counted
-        (``campaign.results_corrupt``), and treated as missing so the job
-        recomputes.
-        """
-        path = self.path_for(job_id)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise OSError(f"cannot read result {path}: {exc}") from exc
-        try:
-            return self._decode(job_id, text)
-        except ResultCorruptError as exc:
-            if self.strict:
-                raise
-            warnings.warn(
-                f"discarding corrupt result for job {job_id} ({exc}); "
-                "the job will be recomputed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            obs.inc("campaign.results_corrupt")
-            return None
-
-    def _decode(self, job_id: str, text: str) -> dict:
-        path = self.path_for(job_id)
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ResultCorruptError(f"{path}: unparsable envelope") from exc
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("magic") != _RESULT_MAGIC
-        ):
-            raise ResultCorruptError(f"{path}: bad result magic")
-        if envelope.get("job_id") != job_id:
-            raise ResultCorruptError(
-                f"{path}: envelope names job {envelope.get('job_id')!r}, "
-                f"expected {job_id!r}"
-            )
-        record = envelope.get("record")
-        if not isinstance(record, dict):
-            raise ResultCorruptError(f"{path}: missing record")
-        blob = json.dumps(record, sort_keys=True)
-        if len(blob) != envelope.get("payload_size"):
-            raise ResultCorruptError(
-                f"{path}: payload is {len(blob)} bytes, envelope says "
-                f"{envelope.get('payload_size')}"
-            )
-        if record_sha256(record) != envelope.get("payload_sha256"):
-            raise ResultCorruptError(f"{path}: payload digest mismatch")
-        obs.inc("campaign.results_loaded")
-        return record
-
-    # ------------------------------------------------------------------
-    def prune(self, keep_hashes: set[str] | frozenset[str]) -> tuple[int, int]:
-        """Delete result directories whose hash is not in ``keep_hashes``.
-
-        Returns ``(directories_removed, bytes_reclaimed)``.  Only
-        directories that actually hold a ``result.json`` are candidates —
-        anything else under the root is left alone.
-        """
-        removed = 0
-        reclaimed = 0
-        for path in sorted(self.root.glob("*/result.json")):
-            job_dir = path.parent
-            if job_dir.name in keep_hashes:
-                continue
-            reclaimed += dir_size_bytes(job_dir)
-            shutil.rmtree(job_dir, ignore_errors=True)
-            removed += 1
-        return removed, reclaimed
+        """The verified result record for ``job_id``, or None when absent
+        or discarded as corrupt."""
+        return self.artifacts.load(job_id, RESULT_NAME, decode=json.loads)

@@ -55,7 +55,7 @@ from repro import obs
 from repro.campaign.journal import Journal
 from repro.campaign.spec import CampaignSpec, config_from_dict
 from repro.campaign.state import DONE, CampaignState, campaign_record
-from repro.campaign.store import ResultStore, result_record
+from repro.campaign.store import ResultStore, record_sha256, result_record
 from repro.experiments import run_experiment
 from repro.obs.events import (
     BoundedEventBuffer,
@@ -452,11 +452,9 @@ class CampaignSupervisor:
 
     # -- cache serving --------------------------------------------------
     def _serve_cached(self, job_id: str) -> bool:
-        record = self.store.load(job_id) if self.store.has(job_id) else None
+        record = self.store.load(job_id)
         if record is None:
             return False
-        from repro.campaign.store import record_sha256
-
         sha = record_sha256(record)
         self._append(
             {

@@ -22,8 +22,8 @@ Results are memoised per configuration: every figure bench shares one run.
 from __future__ import annotations
 
 import math
+import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -42,9 +42,9 @@ from repro.defects.statistics import DefectStatistics
 from repro.layout.design import LayoutDesign, build_layout
 from repro.obs import attribution
 from repro.obs.events import CheckpointEvent, StageEvent
+from repro.obs.manifest import config_hash
 from repro.resilience import chaos
-from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.errors import CheckpointCorruptError
+from repro.resilience.store import ArtifactStore
 from repro.simulation.fault_sim import FaultSimResult
 from repro.simulation.faults import StuckAtFault, collapse_faults
 from repro.simulation.numpy_sim import DEFAULT_NUMPY_WIDTH, NumpyFaultSimulator
@@ -241,17 +241,19 @@ def _sample_ks(n_patterns: int) -> list[int]:
 
 
 def _make_stage_runner(
-    store: CheckpointStore | None,
+    store: ArtifactStore | None,
+    key: str,
     resume: bool,
     restored: list[str],
     recomputed: list[str],
 ) -> Callable:
     """Build the run-one-stage closure used by :func:`_run_pipeline`.
 
-    A stage either restores its artifact from the checkpoint store (resume
-    mode, verified payload present and decodable against the current run) or
-    computes it, persists it, and passes the ``pipeline.stage`` chaos point —
-    the hook tests and the CI chaos-smoke job use to simulate a crash
+    A stage either restores its artifact from entry ``<stage>.ckpt`` of the
+    store under ``key`` (resume mode; the store verifies the file and applies
+    its corrupt-entry policy, ``decode`` failures included) or computes it,
+    pickles it into the store, and passes the ``pipeline.stage`` chaos point
+    — the hook tests and the CI chaos-smoke job use to simulate a crash
     *between* stages.
     """
 
@@ -277,64 +279,44 @@ def _make_stage_runner(
         stage_t0 = time.perf_counter()
         if emit_events:
             obs.emit(StageEvent(stage=name, status="start"))
+        entry = f"{name}.ckpt"
         if store is not None and resume:
-            payload = store.load(name)
-            if payload is not None:
-                try:
-                    value = decode(payload) if decode is not None else payload
-                except Exception as exc:
-                    # The file verified but its content no longer matches
-                    # this run (e.g. artifact shape drift): same policy as
-                    # corruption — strict raises, tolerant recomputes.
-                    if store.strict:
-                        raise CheckpointCorruptError(
-                            f"checkpoint for stage {name!r} does not match "
-                            f"this run: {exc}"
-                        ) from exc
-                    warnings.warn(
-                        f"checkpoint for stage {name!r} does not match this "
-                        f"run ({exc}); recomputing",
-                        RuntimeWarning,
-                        stacklevel=3,
+
+            def unpickle(blob: bytes) -> object:
+                payload = pickle.loads(blob)
+                return decode(payload) if decode is not None else payload
+
+            value = store.load(key, entry, decode=unpickle)
+            if value is not None:
+                restored.append(name)
+                obs.inc("resilience.stages_restored")
+                if emit_events:
+                    obs.emit(
+                        CheckpointEvent(
+                            stage=name,
+                            action="restore",
+                            path=str(store.path(key, entry)),
+                        )
                     )
-                    obs.inc("resilience.checkpoints_corrupt")
-                    if emit_events:
-                        obs.emit(
-                            CheckpointEvent(
-                                stage=name,
-                                action="corrupt",
-                                path=str(store.path_for(name)),
-                            )
+                    obs.emit(
+                        StageEvent(
+                            stage=name,
+                            status="end",
+                            wall_s=time.perf_counter() - stage_t0,
+                            data={"source": "checkpoint"},
                         )
-                else:
-                    restored.append(name)
-                    obs.inc("resilience.stages_restored")
-                    if emit_events:
-                        obs.emit(
-                            CheckpointEvent(
-                                stage=name,
-                                action="restore",
-                                path=str(store.path_for(name)),
-                            )
-                        )
-                        obs.emit(
-                            StageEvent(
-                                stage=name,
-                                status="end",
-                                wall_s=time.perf_counter() - stage_t0,
-                                data={"source": "checkpoint"},
-                            )
-                        )
-                    return value
+                    )
+                return value
         value = compute()
         if store is not None:
-            saved_path = store.save(
-                name, encode(value) if encode is not None else value
+            payload = encode(value) if encode is not None else value
+            store.save(
+                key, entry, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
             if emit_events:
                 obs.emit(
                     CheckpointEvent(
-                        stage=name, action="save", path=str(saved_path)
+                        stage=name, action="save", path=str(store.path(key, entry))
                     )
                 )
         recomputed.append(name)
@@ -356,12 +338,14 @@ def _make_stage_runner(
 
 def _run_pipeline(
     config: ExperimentConfig,
-    store: CheckpointStore | None = None,
+    store: ArtifactStore | None = None,
     resume: bool = False,
 ) -> ExperimentResult:
     restored: list[str] = []
     recomputed: list[str] = []
-    run_stage = _make_stage_runner(store, resume, restored, recomputed)
+    run_stage = _make_stage_runner(
+        store, config_hash(config), resume, restored, recomputed
+    )
 
     pipeline_t0 = time.perf_counter()
     if obs.events_enabled():
@@ -393,22 +377,23 @@ def _run_pipeline(
         # by the PODEM backtrace.  It is not cheap: 9.4 s of a 35.4 s c432
         # run, 26.5 % (`python -m repro c432 --attribution`, 2-core Linux
         # VM; 23.6 % in an earlier profile), almost all of it in the
-        # redundancy prover.  It is still recomputed on resume rather than
-        # checkpointed, until it becomes a stage of its own (ROADMAP item 5,
-        # the content-addressed stage store).
+        # redundancy prover, so it is a checkpointed stage: a resumed run
+        # restores it instead of proving again.
         analysis: AnalysisResult | None = None
         static_untestable: list[StuckAtFault] = []
         screened = collapsed
         if config.static_analysis:
-            with attribution.stage("static_analysis"):
-                analysis = analyze_circuit(
+            analysis = run_stage(
+                "static_analysis",
+                lambda: analyze_circuit(
                     circuit,
                     faults=collapsed,
                     prove=config.prove_redundancy,
                     prover_depth=config.prover_depth,
-                )
-                static_untestable = analysis.untestable_faults()
-                screened = analysis.screen(collapsed)
+                ),
+            )
+            static_untestable = analysis.untestable_faults()
+            screened = analysis.screen(collapsed)
         learned = (
             analysis.prover.learned
             if analysis is not None and analysis.prover is not None
@@ -466,9 +451,7 @@ def _run_pipeline(
         n_random: int = atpg["n_random"]
         redundant: list[StuckAtFault] = atpg["redundant"]
         testable: list[StuckAtFault] = atpg["testable"]
-        # Checkpoints written before the podem_stats key existed decode to a
-        # dict without it; degrade to empty stats rather than KeyError.
-        podem_stats: dict[str, int] = atpg.get("podem_stats", {})
+        podem_stats: dict[str, int] = atpg["podem_stats"]
         obs.set_gauge("pipeline.n_patterns", len(patterns))
         obs.set_gauge("pipeline.n_stuck_faults", len(testable))
         obs.set_gauge("pipeline.n_untestable_static", len(static_untestable))
@@ -630,16 +613,17 @@ def run_experiment(
     ``pipeline.cache_miss`` counters (and observable without enabling
     metrics via :func:`cache_info` deltas).
 
-    With ``checkpoint_dir``, every completed stage (test-pattern generation,
-    stuck-at fault simulation, realistic-fault extraction, switch-level
-    simulation) is persisted under ``checkpoint_dir/<config hash>/`` as it
-    completes; with ``resume=True`` the run restores any stage already
-    checkpointed by an identical configuration instead of recomputing it —
-    the recovery path for a run killed mid-pipeline.
+    With ``checkpoint_dir``, every completed stage (static analysis,
+    test-pattern generation, stuck-at fault simulation, realistic-fault
+    extraction, switch-level simulation) is persisted under
+    ``checkpoint_dir/<config hash>/`` as it completes; with ``resume=True``
+    the run restores any stage already checkpointed by an identical
+    configuration instead of recomputing it — the recovery path for a run
+    killed mid-pipeline.
     ``ExperimentResult.stages_restored`` / ``stages_recomputed`` record which
     path each stage took.  ``strict_checkpoints`` makes a corrupt or
     mismatched checkpoint raise
-    :class:`~repro.resilience.errors.CheckpointCorruptError` instead of
+    :class:`~repro.resilience.errors.StoreCorruptError` instead of
     recomputing with a warning.
     """
     config = config or ExperimentConfig()
@@ -651,7 +635,7 @@ def run_experiment(
         else:
             obs.inc("pipeline.cache_miss")
         return result
-    store = CheckpointStore(checkpoint_dir, config, strict=strict_checkpoints)
+    store = ArtifactStore(checkpoint_dir, strict=strict_checkpoints)
     obs.inc("pipeline.cache_miss")
     return _run_pipeline(config, store=store, resume=resume)
 

@@ -83,8 +83,7 @@ class ProgressEvent(Event):
 
     ``total`` may be None for open-ended work (e.g. PODEM's target list
     shrinks as vectors retire several faults).  ``data`` carries stage
-    telemetry for renderers: ``faults_remaining``, ``detection_rate``,
-    ``chunk_id``, ``latency_s``, ``worker_pid``, ...
+    telemetry for renderers: ``faults_remaining``, ``detection_rate``, ...
     """
 
     stage: str = "?"
@@ -434,22 +433,16 @@ class ProgressRenderer:
     ``min_interval`` seconds per stage so CI logs stay readable.  Stage
     starts/ends, retries and checkpoint actions always get their own line.
 
-    The ETA is computed from an exponentially-weighted moving average of
-    chunk latencies (``alpha`` weighting the newest sample): remaining
-    units x EWMA latency / concurrency.  For stages reporting no latency it
-    falls back to the observed completion rate.
+    The ETA extrapolates the stage's observed completion rate.
     """
 
     def __init__(
         self,
         stream: TextIO | None = None,
-        alpha: float = 0.4,
         min_interval: float = 0.5,
     ):
         self.stream = stream if stream is not None else sys.stderr
-        self.alpha = alpha
         self.min_interval = min_interval
-        self._ewma: dict[str, float] = {}
         self._first_seen: dict[str, float] = {}
         self._last_printed: dict[str, float] = {}
         self._line_open = False
@@ -465,17 +458,6 @@ class ProgressRenderer:
         remaining = max(0.0, event.total - event.completed)
         if not remaining:
             return 0.0
-        latency = event.data.get("latency_s")
-        if isinstance(latency, (int, float)) and latency >= 0:
-            previous = self._ewma.get(event.stage)
-            ewma = (
-                float(latency)
-                if previous is None
-                else self.alpha * float(latency) + (1 - self.alpha) * previous
-            )
-            self._ewma[event.stage] = ewma
-            concurrency = max(1, int(event.data.get("workers", 1) or 1))
-            return remaining * ewma / concurrency
         first = self._first_seen.setdefault(event.stage, event.ts_mono)
         elapsed = event.ts_mono - first
         if elapsed <= 0:
@@ -497,9 +479,6 @@ class ProgressRenderer:
         rate = event.data.get("detection_rate")
         if rate is not None:
             parts.append(f"{100.0 * float(rate):.1f}% detected")
-        chunk = event.data.get("chunk_id")
-        if chunk is not None:
-            parts.append(f"chunk {chunk} done")
         eta = self._eta(event)
         if eta is not None and eta > 0:
             parts.append(f"eta {_fmt_eta(eta)}")

@@ -9,15 +9,15 @@ worker crashes, hangs and interrupted processes without restarting from zero
   :func:`classify_failure`;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`, bounded retry with
   deterministic (jitter-free) exponential backoff;
-* :mod:`repro.resilience.checkpoint` — :class:`CheckpointStore`, per-stage
-  pipeline checkpoints keyed by configuration hash, with integrity-checked
-  atomic files;
+* :mod:`repro.resilience.store` — :class:`ArtifactStore`, the one verified
+  store for pipeline stage checkpoints and campaign results, keyed by
+  configuration hash, with integrity-checked atomic files;
 * :mod:`repro.resilience.chaos` — seeded, deterministic failure injection at
   named points, so every recovery path is *exercised* by tests and CI, not
   just claimed.
 
 The campaign supervisor (:mod:`repro.campaign.supervisor`) consumes the
-taxonomy and the retry policy; the checkpointed pipeline is
+taxonomy, the retry policy and the store; the checkpointed pipeline is
 :func:`repro.experiments.pipeline.run_experiment`.  Policy and format
 details: ``docs/RESILIENCE.md``.
 """
@@ -32,21 +32,21 @@ from repro.resilience.chaos import (
     planned_kind,
     uninstall,
 )
-from repro.resilience.checkpoint import CHECKPOINT_MAGIC, CheckpointStore
 from repro.resilience.errors import (
     ChaosInjectedError,
     ChaosInjectedFatalError,
-    CheckpointCorruptError,
-    CheckpointError,
-    ChunkFailure,
+    ClassifiedFailure,
     FailureKind,
     FatalFailure,
     ResilienceError,
+    StoreCorruptError,
+    StoreError,
     TransientFailure,
     WorkerCrashError,
     classify_failure,
 )
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.resilience.store import ArtifactStore, atomic_write
 
 __all__ = [
     "ChaosPlan",
@@ -57,16 +57,16 @@ __all__ = [
     "maybe_inject",
     "planned_kind",
     "uninstall",
-    "CHECKPOINT_MAGIC",
-    "CheckpointStore",
+    "ArtifactStore",
+    "atomic_write",
     "ChaosInjectedError",
     "ChaosInjectedFatalError",
-    "CheckpointCorruptError",
-    "CheckpointError",
-    "ChunkFailure",
+    "ClassifiedFailure",
     "FailureKind",
     "FatalFailure",
     "ResilienceError",
+    "StoreCorruptError",
+    "StoreError",
     "TransientFailure",
     "WorkerCrashError",
     "classify_failure",

@@ -13,9 +13,11 @@ Chaos points currently wired in:
 ========================  =====================================================
 point                     where / what it can inject
 ========================  =====================================================
-``checkpoint.save``       cooperative: :class:`~repro.resilience.checkpoint.
-                          CheckpointStore` mangles the file it just wrote;
-                          kinds ``truncate``, ``corrupt``.  ``key`` = stage.
+``checkpoint.save``       cooperative: :meth:`~repro.resilience.store.
+                          ArtifactStore.save` mangles the sealed file it
+                          writes (stage checkpoints and campaign results);
+                          kinds ``truncate``, ``corrupt``.  ``key`` = entry
+                          name (``<stage>.ckpt``, ``result.json``).
 ``pipeline.stage``        right after a pipeline stage completes (and its
                           checkpoint is saved); kind ``exception`` simulates
                           a crash between stages.  ``key`` = stage name.

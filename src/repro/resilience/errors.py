@@ -25,12 +25,12 @@ __all__ = [
     "TransientFailure",
     "FatalFailure",
     "WorkerCrashError",
-    "CheckpointError",
-    "CheckpointCorruptError",
+    "StoreError",
+    "StoreCorruptError",
     "ChaosInjectedError",
     "ChaosInjectedFatalError",
     "FailureKind",
-    "ChunkFailure",
+    "ClassifiedFailure",
     "classify_failure",
 ]
 
@@ -51,12 +51,12 @@ class WorkerCrashError(TransientFailure):
     """A worker process died (the pool reported itself broken)."""
 
 
-class CheckpointError(ResilienceError):
-    """A checkpoint could not be read or written."""
+class StoreError(ResilienceError):
+    """An artifact-store entry could not be read or written."""
 
 
-class CheckpointCorruptError(CheckpointError):
-    """A checkpoint file failed its integrity check (truncated/corrupt)."""
+class StoreCorruptError(StoreError):
+    """A store entry failed its integrity check (truncated/corrupt)."""
 
 
 class ChaosInjectedError(TransientFailure):
@@ -87,10 +87,9 @@ _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
 
 
 @dataclass(frozen=True)
-class ChunkFailure:
-    """One classified chunk failure, ready for the retry ledger."""
+class ClassifiedFailure:
+    """One classified failure, ready for the retry ledger."""
 
-    chunk_id: int
     kind: FailureKind
     reason: str
     exception_type: str
@@ -100,7 +99,7 @@ class ChunkFailure:
         return self.kind is FailureKind.TRANSIENT
 
 
-def classify_failure(exc: BaseException, chunk_id: int = -1) -> ChunkFailure:
+def classify_failure(exc: BaseException) -> ClassifiedFailure:
     """Classify ``exc`` as transient or fatal for retry decisions.
 
     ``concurrent.futures`` breakage (``BrokenExecutor`` and the
@@ -119,8 +118,7 @@ def classify_failure(exc: BaseException, chunk_id: int = -1) -> ChunkFailure:
         kind = FailureKind.TRANSIENT
     else:
         kind = FailureKind.FATAL
-    return ChunkFailure(
-        chunk_id=chunk_id,
+    return ClassifiedFailure(
         kind=kind,
         reason=f"{type(exc).__name__}: {exc}",
         exception_type=type(exc).__name__,

@@ -1,6 +1,7 @@
 """End-to-end tests of ``python -m repro campaign ...`` via main()."""
 
 import json
+import re
 
 import pytest
 
@@ -8,7 +9,8 @@ from repro import obs
 from repro.__main__ import main
 from repro.campaign import Journal
 from repro.experiments import ExperimentConfig
-from repro.resilience.checkpoint import CheckpointStore
+from repro.obs.manifest import config_hash
+from repro.resilience import ArtifactStore
 
 
 @pytest.fixture(autouse=True)
@@ -262,10 +264,8 @@ def test_campaign_gc_prunes_checkpoints_too(capsys, tmp_path):
     assert main(["campaign", "run", spec, "--dir", camp, "--workers", "0"]) == 0
     capsys.readouterr()
     ckpt_root = tmp_path / "ckpts"
-    orphan = CheckpointStore(
-        ckpt_root, ExperimentConfig(benchmark="c17", seed=424242)
-    )
-    orphan.save("stage_a", {"x": 1})
+    orphan = config_hash(ExperimentConfig(benchmark="c17", seed=424242))
+    ArtifactStore(ckpt_root).save(orphan, "atpg.ckpt", b"payload")
     assert (
         main(
             [
@@ -278,7 +278,36 @@ def test_campaign_gc_prunes_checkpoints_too(capsys, tmp_path):
     )
     out = capsys.readouterr().out
     assert "removed 1 checkpoint dir(s)" in out
-    assert not (ckpt_root / orphan.config_hash).exists()
+    assert not (ckpt_root / orphan).exists()
+
+
+def test_campaign_gc_dry_run_matches_real_checkpoint_prune(capsys, tmp_path):
+    """The dry run reports exactly what the real prune then removes, even
+    with a directory under the checkpoint root that is not a store entry."""
+    spec = _write_spec(tmp_path, seeds=(1,))
+    camp = _campaign(tmp_path)
+    assert main(["campaign", "run", spec, "--dir", camp, "--workers", "0"]) == 0
+    capsys.readouterr()
+    ckpt_root = tmp_path / "ckpts"
+    ArtifactStore(ckpt_root).save("feedfacedeadbeef", "atpg.ckpt", b"x" * 100)
+    (ckpt_root / "not_a_store").mkdir()
+    (ckpt_root / "not_a_store" / "notes.txt").write_text("keep me")
+    argv = ["campaign", "gc", "--dir", camp, "--checkpoint-dir", str(ckpt_root)]
+
+    assert main(argv + ["--dry-run"]) == 0
+    dry = re.search(
+        r"would remove (\d+) checkpoint dir\(s\), (.+?) from",
+        capsys.readouterr().out,
+    )
+    assert main(argv) == 0
+    real = re.search(
+        r"removed (\d+) checkpoint dir\(s\), (.+?) reclaimed",
+        capsys.readouterr().out,
+    )
+    assert dry and real
+    assert dry.groups() == real.groups()
+    assert dry.group(1) == "1"
+    assert (ckpt_root / "not_a_store" / "notes.txt").exists()
 
 
 def test_campaign_status_stop_only_journal(capsys, tmp_path):

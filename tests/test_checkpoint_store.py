@@ -1,18 +1,21 @@
-"""CheckpointStore: round-trips, integrity checking, recovery, chaos."""
+"""Pipeline checkpoints in the artifact store: tolerant recovery, counting.
+
+The pipeline keys a stage checkpoint by the configuration hash and stores the
+pickled stage payload as ``<stage>.ckpt``; these tests drive that layout
+directly.
+"""
+
+import pickle
 
 import pytest
 
 from repro import obs
 from repro.experiments import ExperimentConfig
-from repro.resilience import (
-    ChaosPlan,
-    ChaosRule,
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointStore,
-    chaos,
-)
-from repro.simulation.faults import StuckAtFault
+from repro.obs.manifest import config_hash
+from repro.resilience import ArtifactStore, chaos
+
+CONFIG = ExperimentConfig(benchmark="c17", seed=11)
+KEY = config_hash(CONFIG)
 
 
 @pytest.fixture(autouse=True)
@@ -24,136 +27,33 @@ def _clean_state():
     obs.disable()
 
 
-CONFIG = ExperimentConfig(benchmark="c17", seed=11)
+def _save(store, stage, payload):
+    store.save(KEY, f"{stage}.ckpt", pickle.dumps(payload))
+    return store.path(KEY, f"{stage}.ckpt")
 
 
-def test_round_trip_preserves_payload(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    payload = {
-        "patterns": [[0, 1, 0], [1, 1, 1]],
-        "faults": [StuckAtFault("n1", 0), StuckAtFault("n2", 1)],
-        "coverage": 0.875,
-    }
-    store.save("atpg", payload)
-    assert store.has("atpg")
-    assert store.load("atpg") == payload
-
-
-def test_store_is_keyed_by_config_hash(tmp_path):
-    a = CheckpointStore(tmp_path, CONFIG)
-    b = CheckpointStore(tmp_path, ExperimentConfig(benchmark="c17", seed=12))
-    a.save("atpg", {"x": 1})
-    assert a.dir != b.dir
-    assert b.load("atpg") is None
-
-
-def test_stages_and_clear(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    store.save("atpg", 1)
-    store.save("stuck_sim", 2)
-    assert store.stages() == ["atpg", "stuck_sim"]
-    store.clear()
-    assert store.stages() == []
-    assert store.load("atpg") is None
-
-
-def test_missing_stage_loads_none(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    assert store.load("nothing") is None
-
-
-def test_atomic_write_leaves_no_temp_files(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    store.save("atpg", list(range(1000)))
-    leftovers = [p.name for p in store.dir.iterdir() if p.suffix == ".tmp"]
-    assert leftovers == []
+def _load(store, stage):
+    return store.load(KEY, f"{stage}.ckpt", decode=pickle.loads)
 
 
 def test_truncated_checkpoint_recovers_tolerantly(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    path = store.save("stuck_sim", {"big": list(range(500))})
+    store = ArtifactStore(tmp_path)
+    path = _save(store, "stuck_sim", {"big": list(range(500))})
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
 
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert store.load("stuck_sim") is None
+    with pytest.warns(RuntimeWarning, match="corrupt stuck_sim.ckpt"):
+        assert _load(store, "stuck_sim") is None
     # The stage recomputes and overwrites the bad file.
-    store.save("stuck_sim", {"big": [1]})
-    assert store.load("stuck_sim") == {"big": [1]}
-
-
-def test_corrupt_payload_byte_detected(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    path = store.save("atpg", {"values": list(range(100))})
-    data = bytearray(path.read_bytes())
-    data[-10] ^= 0xFF
-    path.write_bytes(bytes(data))
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert store.load("atpg") is None
-
-
-def test_strict_store_raises_on_corruption(tmp_path):
-    tolerant = CheckpointStore(tmp_path, CONFIG)
-    path = tolerant.save("atpg", [1, 2, 3])
-    data = path.read_bytes()
-    path.write_bytes(data[:-4])
-
-    strict = CheckpointStore(tmp_path, CONFIG, strict=True)
-    with pytest.raises(CheckpointCorruptError):
-        strict.load("atpg")
-
-
-def test_header_stage_mismatch_is_corruption(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    path = store.save("atpg", [1])
-    path.rename(store.path_for("stuck_sim"))
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert store.load("stuck_sim") is None
-
-
-def test_unpicklable_payload_raises_checkpoint_error(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    with pytest.raises(CheckpointError, match="not picklable"):
-        store.save("atpg", lambda: None)
-
-
-def test_unwritable_root_raises_checkpoint_error(tmp_path):
-    blocker = tmp_path / "file-not-dir"
-    blocker.write_text("occupied")
-    with pytest.raises(CheckpointError, match="cannot create"):
-        CheckpointStore(blocker / "sub", CONFIG)
-
-
-def test_chaos_truncate_rule_exercises_recovery(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    plan = ChaosPlan(
-        rules=(ChaosRule(point="checkpoint.save", kind="truncate", keys={"atpg"}),)
-    )
-    with chaos.active(plan):
-        store.save("atpg", {"x": list(range(200))})
-        store.save("stuck_sim", {"y": 2})
-    # The truncated stage reads back as missing; the untouched one is fine.
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert store.load("atpg") is None
-    assert store.load("stuck_sim") == {"y": 2}
-
-
-def test_chaos_corrupt_rule_exercises_recovery(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    plan = ChaosPlan(
-        rules=(ChaosRule(point="checkpoint.save", kind="corrupt", keys={"atpg"}),)
-    )
-    with chaos.active(plan):
-        store.save("atpg", {"x": list(range(200))})
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert store.load("atpg") is None
+    _save(store, "stuck_sim", {"big": [1]})
+    assert _load(store, "stuck_sim") == {"big": [1]}
 
 
 def test_corruption_counter_increments(tmp_path):
-    store = CheckpointStore(tmp_path, CONFIG)
-    path = store.save("atpg", [1, 2, 3])
+    store = ArtifactStore(tmp_path)
+    path = _save(store, "atpg", [1, 2, 3])
     path.write_bytes(path.read_bytes()[:-2])
     _, registry = obs.enable()
     with pytest.warns(RuntimeWarning):
-        store.load("atpg")
-    assert registry.counter("resilience.checkpoints_corrupt").value == 1
+        _load(store, "atpg")
+    assert registry.counter("store.corrupt").value == 1

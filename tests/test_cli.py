@@ -220,14 +220,14 @@ def test_cli_checkpoint_then_resume(capsys, tmp_path):
     code = main(["c17", "--seed", "424", "--checkpoint-dir", str(ckpt)])
     assert code == 0
     first = capsys.readouterr().out
-    assert "recomputed atpg, stuck_sim, extraction, switch_sim" in first
+    assert "recomputed static_analysis, atpg, stuck_sim, extraction, switch_sim" in first
 
     code = main(
         ["c17", "--seed", "424", "--checkpoint-dir", str(ckpt), "--resume"]
     )
     assert code == 0
     second = capsys.readouterr().out
-    assert "restored atpg, stuck_sim, extraction, switch_sim" in second
+    assert "restored static_analysis, atpg, stuck_sim, extraction, switch_sim" in second
 
     # The resumed run reports the exact same fitted parameters.
     fit_line = next(line for line in first.splitlines() if "fit of eq. 11" in line)
@@ -252,13 +252,12 @@ def test_cli_unwritable_checkpoint_dir_fails_cleanly(capsys, tmp_path):
 
 def test_cli_corrupt_checkpoint_exits_nonzero(capsys, tmp_path):
     from repro.experiments import ExperimentConfig
-    from repro.resilience import CheckpointStore
+    from repro.obs.manifest import config_hash
 
     ckpt = tmp_path / "ckpt"
     assert main(["c17", "--seed", "425", "--checkpoint-dir", str(ckpt)]) == 0
     capsys.readouterr()
-    store = CheckpointStore(ckpt, ExperimentConfig(benchmark="c17", seed=425))
-    path = store.path_for("atpg")
+    path = ckpt / config_hash(ExperimentConfig(benchmark="c17", seed=425)) / "atpg.ckpt"
     path.write_bytes(path.read_bytes()[:40])
 
     code = main(

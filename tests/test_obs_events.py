@@ -160,24 +160,6 @@ def test_renderer_formats_progress_fields():
     assert "75.0% detected" in line
 
 
-def test_renderer_eta_uses_ewma_of_chunk_latencies():
-    renderer, stream = _renderer()
-    for done, latency in ((1, 2.0), (2, 4.0)):
-        renderer(
-            ProgressEvent(
-                stage="par",
-                completed=done,
-                total=4,
-                unit="chunks",
-                data={"chunk_id": done - 1, "latency_s": latency, "workers": 2},
-            )
-        )
-    # EWMA after (2.0, 4.0) with alpha=0.4: 0.4*4 + 0.6*2 = 2.8;
-    # 2 chunks remain over 2 workers -> eta = 2.8s.
-    assert renderer._ewma["par"] == pytest.approx(2.8)
-    assert "eta 2.8s" in stream.getvalue().splitlines()[-1]
-
-
 def test_renderer_throttles_non_tty_but_prints_final(tmp_path):
     renderer, stream = _renderer(min_interval=3600.0)
     for k in range(1, 10):

@@ -1,18 +1,22 @@
 """Pipeline checkpointing: stage persistence, resume, chaos interruption."""
 
+import pickle
+
 import pytest
 
 from repro import obs
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.obs.manifest import config_hash
 from repro.resilience import (
+    ArtifactStore,
     ChaosInjectedError,
     ChaosPlan,
     ChaosRule,
-    CheckpointStore,
+    StoreCorruptError,
     chaos,
 )
 
-STAGES = ["atpg", "stuck_sim", "extraction", "switch_sim"]
+STAGES = ["static_analysis", "atpg", "stuck_sim", "extraction", "switch_sim"]
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +51,9 @@ def test_checkpointed_run_persists_every_stage(tmp_path):
     result = run_experiment(CONFIG, checkpoint_dir=tmp_path)
     assert result.stages_recomputed == STAGES
     assert result.stages_restored == []
-    assert CheckpointStore(tmp_path, CONFIG).stages() == sorted(STAGES)
+    assert ArtifactStore(tmp_path).names(config_hash(CONFIG)) == sorted(
+        f"{stage}.ckpt" for stage in STAGES
+    )
 
 
 def test_resume_restores_every_stage_and_matches(tmp_path):
@@ -70,14 +76,55 @@ def test_resume_after_mid_pipeline_crash(tmp_path):
     with chaos.active(plan), pytest.raises(ChaosInjectedError):
         run_experiment(CONFIG, checkpoint_dir=tmp_path)
     # The completed stages survived the crash.
-    store = CheckpointStore(tmp_path, CONFIG)
-    assert store.has("atpg") and store.has("stuck_sim")
-    assert not store.has("switch_sim")
+    assert ArtifactStore(tmp_path).names(config_hash(CONFIG)) == [
+        "atpg.ckpt", "static_analysis.ckpt", "stuck_sim.ckpt",
+    ]
 
     resumed = run_experiment(CONFIG, checkpoint_dir=tmp_path, resume=True)
-    assert resumed.stages_restored == ["atpg", "stuck_sim"]
+    assert resumed.stages_restored == ["static_analysis", "atpg", "stuck_sim"]
     assert resumed.stages_recomputed == ["extraction", "switch_sim"]
     _assert_results_identical(reference, resumed)
+
+
+def test_resume_after_static_analysis_crash(tmp_path):
+    """A restored analysis feeds a recomputed ATPG to the same result."""
+    reference = run_experiment(CONFIG)
+    plan = ChaosPlan(
+        rules=(
+            ChaosRule(
+                point="pipeline.stage", kind="exception", keys={"static_analysis"}
+            ),
+        )
+    )
+    with chaos.active(plan), pytest.raises(ChaosInjectedError):
+        run_experiment(CONFIG, checkpoint_dir=tmp_path)
+
+    resumed = run_experiment(CONFIG, checkpoint_dir=tmp_path, resume=True)
+    assert resumed.stages_restored == ["static_analysis"]
+    assert resumed.stages_recomputed == STAGES[1:]
+    assert resumed.static_untestable == reference.static_untestable
+    assert resumed.redundant_faults == reference.redundant_faults
+    _assert_results_identical(reference, resumed)
+
+
+def test_undecodable_stage_checkpoint_recomputes(tmp_path):
+    """A verified entry whose content no longer fits the run is recomputed
+    (tolerant) or fatal (strict), like a corrupt one."""
+    first = run_experiment(CONFIG, checkpoint_dir=tmp_path)
+    store = ArtifactStore(tmp_path)
+    key = config_hash(CONFIG)
+    payload = pickle.loads(store.load(key, "switch_sim.ckpt"))
+    payload["n_faults"] += 1
+    store.save(key, "switch_sim.ckpt", pickle.dumps(payload))
+
+    with pytest.raises(StoreCorruptError, match="does not decode"):
+        run_experiment(
+            CONFIG, checkpoint_dir=tmp_path, resume=True, strict_checkpoints=True
+        )
+    with pytest.warns(RuntimeWarning, match="corrupt switch_sim.ckpt"):
+        resumed = run_experiment(CONFIG, checkpoint_dir=tmp_path, resume=True)
+    assert resumed.stages_recomputed == ["switch_sim"]
+    _assert_results_identical(first, resumed)
 
 
 def test_resume_without_prior_run_recomputes_everything(tmp_path):

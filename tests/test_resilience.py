@@ -29,10 +29,9 @@ def test_classify_transient_types():
         EOFError("pipe closed"),
         ChaosInjectedError("injected"),
     ):
-        failure = classify_failure(exc, chunk_id=3)
+        failure = classify_failure(exc)
         assert failure.kind is FailureKind.TRANSIENT
         assert failure.transient
-        assert failure.chunk_id == 3
         assert type(exc).__name__ == failure.exception_type
         assert failure.exception_type in failure.reason
 
