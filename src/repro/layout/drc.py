@@ -82,7 +82,7 @@ def check_spacing(
 
     index = SpatialIndex([s for s in design.shapes if s.layer.is_conductor])
     for a, b in index.candidate_pairs(margin=max_space):
-        if a.layer != b.layer or a.net == b.net or not a.net or not b.net:
+        if a.net == b.net or not a.net or not b.net:
             continue
         required = rules.min_space(a.layer)
         if "pin" in (a.purpose, b.purpose):

@@ -47,6 +47,7 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
     graph = nx.Graph()
     graph.add_nodes_from(range(len(shapes)))
     index_of = {id(s): i for i, s in enumerate(shapes)}
+    is_cut = [s.layer.is_cut for s in shapes]
     index = SpatialIndex(shapes)
 
     for i, shape in enumerate(shapes):
@@ -57,8 +58,8 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
             if shape.layer == other.layer and shape.layer in _CONDUCTORS:
                 if shape.intersects(other):
                     graph.add_edge(i, j)
-            elif shape.layer.is_cut or other.layer.is_cut:
-                cut, metal = (shape, other) if shape.layer.is_cut else (other, shape)
+            elif is_cut[i] or is_cut[j]:
+                cut, metal = (shape, other) if is_cut[i] else (other, shape)
                 if cut.overlap_area(metal) <= 0:
                     continue
                 if cut.layer is Layer.CONTACT and metal.layer in (
@@ -94,8 +95,7 @@ def find_shorts(shapes: list[Rect]) -> list[tuple[Rect, Rect]]:
     index = SpatialIndex(shapes)
     for a, b in index.candidate_pairs():
         if (
-            a.layer == b.layer
-            and a.layer in _CONDUCTORS
+            a.layer in _CONDUCTORS
             and a.net != b.net
             and a.net
             and b.net

@@ -154,16 +154,21 @@ def facing_span(a: Rect, b: Rect) -> tuple[float, float] | None:
     overlapping different-net shapes would be a DRC violation the generator
     never produces.
     """
-    x_overlap = min(a.urx, b.urx) - max(a.llx, b.llx)
-    y_overlap = min(a.ury, b.ury) - max(a.lly, b.lly)
-    if x_overlap > 0 and y_overlap > 0:
-        return None  # overlapping
+    # Bridge extraction calls this for every candidate pair: the inline
+    # conditionals are min()/max() (first argument wins ties) without the
+    # call overhead.
+    lo_x = b.llx if b.llx > a.llx else a.llx
+    hi_x = b.urx if b.urx < a.urx else a.urx
+    lo_y = b.lly if b.lly > a.lly else a.lly
+    hi_y = b.ury if b.ury < a.ury else a.ury
+    x_overlap = hi_x - lo_x
+    y_overlap = hi_y - lo_y
     if x_overlap > 0:
-        spacing = max(a.lly, b.lly) - min(a.ury, b.ury)
-        return (spacing, x_overlap)
+        if y_overlap > 0:
+            return None  # overlapping
+        return (lo_y - hi_y, x_overlap)
     if y_overlap > 0:
-        spacing = max(a.llx, b.llx) - min(a.urx, b.urx)
-        return (spacing, y_overlap)
+        return (lo_x - hi_x, y_overlap)
     return None
 
 
