@@ -24,10 +24,10 @@ Engine architecture (see ``docs/PERFORMANCE.md``):
   first and the expensive cones are only walked while genuinely undetected.
 
 This is the pure-python reference engine.  The pipeline's stuck-at stage
-runs the numpy bitslice kernel
+and the switch-level simulator run the numpy bitslice kernel
 (:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`), which is tested
-bit-exact against this one; random ATPG, PODEM, compaction, bridge ATPG,
-diagnosis and switch-level simulation call this engine directly.
+bit-exact against this one; random ATPG, PODEM, compaction, bridge ATPG and
+diagnosis call this engine directly.
 """
 
 from __future__ import annotations
@@ -257,7 +257,6 @@ class FaultSimulator:
         self._gate_index = self.cones.gate_index
         # Lazy, memoised compilation state.
         self._programs: dict[StuckAtFault, _Program] = {}
-        self._multi_programs: dict[tuple[StuckAtFault, ...], _Program] = {}
         self._good_memo: tuple[Mapping[str, int], list[int]] | None = None
 
     # ------------------------------------------------------------------
@@ -291,32 +290,6 @@ class FaultSimulator:
             }
         program = self._compile(cone.gate_idx, cone.po_ids, net_force, pin_force)
         self._programs[fault] = program
-        return program
-
-    def _multi_program(self, forces: tuple[StuckAtFault, ...]) -> _Program:
-        """Compiled schedule for several simultaneous stuck forces."""
-        program = self._multi_programs.get(forces)
-        if program is not None:
-            return program
-        logic = self.logic
-        net_force: dict[int, int] = {}
-        pin_force: dict[tuple[int, int], int] = {}
-        gates: set[int] = set()
-        po_ids: list[int] = []
-        for fault in forces:
-            stuck_word = self.mask if fault.value else 0
-            nid = logic.net_id[fault.net]
-            if fault.site is FaultSite.NET:
-                net_force[nid] = stuck_word
-            else:
-                pin_force[(self._gate_index[fault.gate], fault.pin)] = stuck_word
-            cone = self._cone(nid)
-            gates.update(cone.gate_idx)
-            for po in cone.po_ids:
-                if po not in po_ids:
-                    po_ids.append(po)
-        program = self._compile(sorted(gates), po_ids, net_force, pin_force)
-        self._multi_programs[forces] = program
         return program
 
     def _compile(
@@ -473,24 +446,6 @@ class FaultSimulator:
         """
         good = self._good_list(good_values)
         return self._detect(self._program(fault), good)
-
-    # ------------------------------------------------------------------
-    def detection_word_multi(
-        self,
-        forces: Sequence[StuckAtFault],
-        good_values: Mapping[str, int] | Sequence[int],
-    ) -> int:
-        """Detection mask for several simultaneous stuck forces.
-
-        Used by the switch-level simulator's fast paths (an open that floats
-        several gate-input pins behaves, under one charge assumption, like a
-        multiple stuck-at fault).  The forced cone is the union of the
-        individual cones; compiled schedules are memoised per force tuple.
-        """
-        if not forces:
-            return 0
-        good = self._good_list(good_values)
-        return self._detect(self._multi_program(tuple(forces)), good)
 
     # ------------------------------------------------------------------
     def po_diff_words(

@@ -1,8 +1,9 @@
 """Numpy ``uint64`` bitslice fault-simulation engine.
 
-This is the engine the pipeline's stuck-at stage runs; the pure-python
-wide-word :class:`~repro.simulation.fault_sim.FaultSimulator` remains the
-reference implementation and both engines are bit-exact against each other
+This is the engine the pipeline's stuck-at stage and the switch-level
+simulator run; the pure-python wide-word
+:class:`~repro.simulation.fault_sim.FaultSimulator` remains the reference
+implementation and both engines are bit-exact against each other
 (``tests/test_engines.py``).
 
 The kernel's bit layout rests on platform assumptions (8-byte ``uint64``,
@@ -22,18 +23,22 @@ op per gate.  ``width`` must be a multiple of 64 — the block is the
 detection-count group, so matching the python engine's group extent is
 what makes drop-mode ``detection_counts`` bit-exact.
 
-Faulty machines are evaluated in *lane batches*: faults are ordered
+Faulty machines are evaluated in *lane batches*.  A lane is a tuple of
+stuck forces on nets or gate-input pins, applied at once: a single stuck-at
+fault is a 1-tuple (what :meth:`NumpyFaultSimulator.run_packed` passes),
+and the switch-level simulator's multi-pin injections are longer tuples
+(:meth:`NumpyFaultSimulator.detection_words`).  Lanes are ordered
 cheapest-cone-first (the same static order as the python engine) and
 partitioned into batches of ``lane_batch`` lanes.  Each batch compiles one
 schedule over the union of its cones; slots are ``(n_lanes, words)``
 arrays, so every gate in the union is evaluated for all lanes of the batch
 with a single vectorized op.  Gates in the union whose inputs are entirely
 fault-free collapse to a copy of the good column at compile time.  Per-lane
-fault forcing (stuck rows seeded before evaluation, driver outputs
-overwritten after evaluation, pin-operand overrides) keeps each lane's
-primary-output values exactly equal to what a cone-restricted single-fault
-resimulation would produce: gates outside a lane's own cone cannot be
-reached by its fault, so they compute fault-free values for that lane.
+forcing (stuck rows seeded before evaluation, driver outputs overwritten
+after evaluation, pin-operand overrides) keeps each lane's primary-output
+values exactly equal to what a cone-restricted resimulation of that lane's
+forces would produce: gates outside a lane's own cones cannot be reached
+by its forces, so they compute fault-free values for that lane.
 
 Good-machine values are computed once per block and shared by every batch;
 fault dropping retires lanes at their first detecting block and skips a
@@ -67,9 +72,14 @@ __all__ = [
     "DEFAULT_NUMPY_WIDTH",
     "DEFAULT_LANE_BATCH",
     "NumpyFaultSimulator",
+    "Lane",
     "check_bitslice_layout",
     "pack_bitslice",
 ]
+
+#: One faulty machine: stuck forces applied together (a 1-tuple for a
+#: single stuck-at fault).
+Lane = tuple[StuckAtFault, ...]
 
 #: Default block extent (patterns per detection group) for the numpy engine.
 #: Wider than the python default: the vectorized kernel amortises per-gate
@@ -190,6 +200,9 @@ def _popcount(words: np.ndarray) -> int:
 class _BatchProgram:
     """One lane batch's compiled union-of-cones schedule.
 
+    ``cone_sizes`` holds each lane's own cone size (the union of its forces'
+    cones).
+
     ``refs`` entries encode operand sources like the python engine's
     programs: ``ref >= 0`` reads the good-machine column ``good[:, ref]``;
     ``ref < 0`` reads the batch-local slot ``local[~ref]`` (an
@@ -198,7 +211,7 @@ class _BatchProgram:
     """
 
     __slots__ = (
-        "faults",
+        "lanes",
         "n_lanes",
         "ops",
         "refs",
@@ -214,7 +227,7 @@ class _BatchProgram:
     )
 
     def __init__(self) -> None:
-        self.faults: list[StuckAtFault] = []
+        self.lanes: list[Lane] = []
         self.n_lanes = 0
         self.ops: list[int] = []
         self.refs: list[tuple[int, ...]] = []
@@ -273,7 +286,7 @@ class NumpyFaultSimulator:
         self.cones = ConeIndex(self.logic)
         self._n_inputs = len(circuit.primary_inputs)
         self.words_per_block = width // 64
-        self._batch_memo: dict[tuple[StuckAtFault, ...], _BatchProgram] = {}
+        self._batch_memo: dict[tuple[Lane, ...], _BatchProgram] = {}
 
     # ------------------------------------------------------------------
     # Packing
@@ -289,54 +302,68 @@ class NumpyFaultSimulator:
         """Number of gates in ``fault``'s output cone."""
         return len(self.cones.fault_cone(fault).gate_idx)
 
-    def _compile_batch(self, faults: tuple[StuckAtFault, ...]) -> _BatchProgram:
+    def lane_cone_size(self, lane: Lane) -> int:
+        """Number of gates in the union of ``lane``'s force cones."""
+        if len(lane) == 1:
+            return self.cone_size(lane[0])
+        gates: set[int] = set()
+        for fault in lane:
+            gates.update(self.cones.fault_cone(fault).gate_idx)
+        return len(gates)
+
+    def _compile_batch(self, lanes: tuple[Lane, ...]) -> _BatchProgram:
         """Compile one lane batch into a union-of-cones slot schedule."""
-        program = self._batch_memo.get(faults)
+        program = self._batch_memo.get(lanes)
         if program is not None:
             return program
         logic = self.logic
         cones = self.cones
         out_ids = logic.out_ids
         prog = _BatchProgram()
-        prog.faults = list(faults)
-        prog.n_lanes = len(faults)
+        prog.lanes = list(lanes)
+        prog.n_lanes = len(lanes)
 
-        fault_cones = [cones.fault_cone(f) for f in faults]
-        union_gates = sorted(set().union(*(c.gate_idx for c in fault_cones)))
+        lane_cones = [[cones.fault_cone(f) for f in lane] for lane in lanes]
+        union_gates = sorted(
+            set().union(*(c.gate_idx for cs in lane_cones for c in cs))
+        )
         pos_of = {gi: pos for pos, gi in enumerate(union_gates)}
         slot_of = {out_ids[gi]: slot for slot, gi in enumerate(union_gates)}
         n_slots = len(union_gates)
 
-        # Per-lane fault forcing.  A forced net driven inside the union
-        # keeps its driver (other lanes need the fault-free value) and the
-        # faulty lane's row is overwritten right after the driver writes it;
-        # a forced net with no driver in the union gets a slot seeded from
-        # the good column with the faulty lane's row forced up front.  Pin
-        # faults override a single gate's view of one operand for one lane.
+        # Per-lane forcing.  A forced net driven inside the union keeps its
+        # driver (other lanes need the fault-free value) and the forcing
+        # lane's row is overwritten right after the driver writes it; a
+        # forced net with no driver in the union gets a slot seeded from the
+        # good column with the forcing lane's row forced up front.  Pin
+        # forces override a single gate's view of one operand for one lane,
+        # after any net force on the same net.  Forces are applied in lane
+        # order, so a later force on the same net or pin wins.
         force_slot: dict[int, int] = {}
-        for lane, fault in enumerate(faults):
-            nid = logic.net_id[fault.net]
-            stuck = bool(fault.value)
-            if fault.site is FaultSite.NET:
-                slot = slot_of.get(nid)
-                if slot is not None:
-                    driver_pos = pos_of[cones.driver_gate[nid]]
-                    prog.post_forces.setdefault(driver_pos, []).append(
-                        (slot, lane, stuck)
-                    )
+        for lane, forces in enumerate(lanes):
+            for fault in forces:
+                nid = logic.net_id[fault.net]
+                stuck = bool(fault.value)
+                if fault.site is FaultSite.NET:
+                    slot = slot_of.get(nid)
+                    if slot is not None:
+                        driver_pos = pos_of[cones.driver_gate[nid]]
+                        prog.post_forces.setdefault(driver_pos, []).append(
+                            (slot, lane, stuck)
+                        )
+                    else:
+                        slot = force_slot.get(nid)
+                        if slot is None:
+                            slot = n_slots
+                            n_slots += 1
+                            force_slot[nid] = slot
+                            prog.seeds.append((slot, nid))
+                        prog.init_forces.append((slot, lane, stuck))
                 else:
-                    slot = force_slot.get(nid)
-                    if slot is None:
-                        slot = n_slots
-                        n_slots += 1
-                        force_slot[nid] = slot
-                        prog.seeds.append((slot, nid))
-                    prog.init_forces.append((slot, lane, stuck))
-            else:
-                gi = cones.gate_index[fault.gate]
-                prog.pin_overrides.setdefault(pos_of[gi], []).append(
-                    (fault.pin, lane, stuck)
-                )
+                    gi = cones.gate_index[fault.gate]
+                    prog.pin_overrides.setdefault(pos_of[gi], []).append(
+                        (fault.pin, lane, stuck)
+                    )
 
         ops_all = logic.ops
         in_ids = logic.in_ids
@@ -375,7 +402,7 @@ class NumpyFaultSimulator:
             prog.out_slots.append(slot_of[out_ids[gi]])
 
         po_seen: set[int] = set()
-        for cone in fault_cones:
+        for cone in (c for cs in lane_cones for c in cs):
             for po in cone.po_ids:
                 if po in po_seen:
                     continue
@@ -386,20 +413,25 @@ class NumpyFaultSimulator:
                 if slot is not None:
                     prog.po_refs.append((slot, po))
                 # Otherwise the cone output keeps its fault-free value for
-                # every lane (a pin-faulted net that is itself a PO): the
+                # every lane (a pin-forced net that is itself a PO): the
                 # diff is identically 0.
 
         prog.n_slots = n_slots
         prog.union_size = len(union_gates)
-        prog.cone_sizes = [len(c.gate_idx) for c in fault_cones]
-        self._batch_memo[faults] = prog
+        prog.cone_sizes = [self.lane_cone_size(lane) for lane in lanes]
+        self._batch_memo[lanes] = prog
         return prog
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _good_block(self, block_words: np.ndarray) -> np.ndarray:
-        """Fault-free simulation of one block: ``(words, n_nets)`` values."""
+    def good_values(self, block_words: np.ndarray) -> np.ndarray:
+        """Fault-free simulation of packed words: ``(words, n_nets)`` values.
+
+        Column ``nid`` is the bitslice of the net with id ``nid`` in
+        ``self.logic.net_id``.  The runs call it once per block; any number
+        of words works.
+        """
         logic = self.logic
         n_words = block_words.shape[0]
         values = np.zeros((n_words, logic.n_nets), dtype=np.uint64)
@@ -531,6 +563,68 @@ class NumpyFaultSimulator:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
+    def _check_packed(self, packed: np.ndarray, n_patterns: int) -> int:
+        """The word count of ``packed``, checked against ``n_patterns``."""
+        n_words = packed.shape[0]
+        expected_words = -(-n_patterns // 64)
+        if n_words != expected_words:
+            raise ValueError(
+                f"packed array has {n_words} words, expected "
+                f"{expected_words} for {n_patterns} patterns"
+            )
+        return n_words
+
+    def detection_words(
+        self, lanes: Sequence[Lane], packed: np.ndarray, n_patterns: int
+    ) -> np.ndarray:
+        """Per-lane detection words over a whole packed sequence.
+
+        Row ``i`` of the ``(len(lanes), n_words)`` result has bit ``p`` of
+        word ``w`` set when applying every force of ``lanes[i]`` at once
+        makes pattern ``64 * w + p`` differ from the fault-free machine at
+        some primary output.  Nothing drops, so every word is computed; bits
+        past ``n_patterns`` are clear.
+        """
+        n_words_total = self._check_packed(packed, n_patterns)
+        words = np.zeros((len(lanes), n_words_total), dtype=np.uint64)
+        if not lanes or not n_words_total:
+            return words
+        # Cheapest-cone-first batches keep each union of cones tight.
+        order = sorted(
+            range(len(lanes)), key=lambda i: self.lane_cone_size(lanes[i])
+        )
+        lane_batch = self.lane_batch
+        batches = []
+        for start in range(0, len(order), lane_batch):
+            rows = order[start : start + lane_batch]
+            prog = self._compile_batch(tuple(lanes[i] for i in rows))
+            batches.append((np.array(rows), prog))
+
+        words_per_block = self.words_per_block
+        max_slots = max(prog.n_slots for _, prog in batches)
+        local_buf = np.empty(
+            (max_slots, lane_batch, words_per_block), dtype=np.uint64
+        )
+        diff_buf = np.empty((lane_batch, words_per_block), dtype=np.uint64)
+        tmp_buf = np.empty_like(diff_buf)
+        for word_lo in range(0, n_words_total, words_per_block):
+            word_hi = min(word_lo + words_per_block, n_words_total)
+            n_words = word_hi - word_lo
+            good = self.good_values(packed[word_lo:word_hi])
+            for rows, prog in batches:
+                n_lanes = prog.n_lanes
+                words[rows, word_lo:word_hi] = self._run_batch(
+                    prog,
+                    good,
+                    local_buf[: prog.n_slots, :n_lanes, :n_words],
+                    diff_buf[:n_lanes, :n_words],
+                    tmp_buf[:n_lanes, :n_words],
+                )
+        tail_bits = n_patterns % 64
+        if tail_bits:
+            words[:, -1] &= np.uint64((1 << tail_bits) - 1)
+        return words
+
     def run(
         self,
         patterns: Sequence[Sequence[int]],
@@ -555,13 +649,7 @@ class NumpyFaultSimulator:
         detection_counts: dict[StuckAtFault, int] = {}
         width = self.width
         words_per_block = self.words_per_block
-        n_words_total = packed.shape[0]
-        expected_words = -(-n_patterns // 64)
-        if n_words_total != expected_words:
-            raise ValueError(
-                f"packed array has {n_words_total} words, expected "
-                f"{expected_words} for {n_patterns} patterns"
-            )
+        n_words_total = self._check_packed(packed, n_patterns)
         emit_progress = obs.events_enabled()
         with obs.span(
             "fault_sim.run",
@@ -577,7 +665,9 @@ class NumpyFaultSimulator:
             ordered = sorted(faults, key=self.cone_size)
             lane_batch = self.lane_batch
             programs = [
-                self._compile_batch(tuple(ordered[start : start + lane_batch]))
+                self._compile_batch(
+                    tuple((f,) for f in ordered[start : start + lane_batch])
+                )
                 for start in range(0, len(ordered), lane_batch)
             ]
             alive = [
@@ -629,7 +719,7 @@ class NumpyFaultSimulator:
                 n_words = word_hi - word_lo
                 base = block_index * width
                 n_here = min(width, n_patterns - base)
-                good = self._good_block(packed[word_lo:word_hi])
+                good = self.good_values(packed[word_lo:word_hi])
                 if attr is not None:
                     good_gate_evals += good_size
                     pattern_blocks += 1
@@ -665,7 +755,7 @@ class NumpyFaultSimulator:
                             + first_word * 64
                             + (value & -value).bit_length()
                         )
-                        fault = prog.faults[lane]
+                        fault = prog.lanes[lane][0]
                         if fault not in first_detection:
                             first_detection[fault] = first
                         detection_counts[fault] = detection_counts.get(

@@ -25,12 +25,27 @@ injections —
 * stuck-open devices make the cell output float on the vectors where the
   broken network should drive, with charge-retention (sequence) semantics;
 * floating inputs are evaluated under both trapped-charge assumptions.
+
+An injection is a *force set* (one or more stuck forces on nets or gate-input
+pins) plus the vector mask on which it applies.  A force set's detection word
+does not depend on the mask, so :meth:`SwitchLevelFaultSimulator.run` works in
+three passes:
+
+1. every fault's handler returns its injection groups, with the masks
+   computed in numpy and bit-packed with ``np.packbits``;
+2. each distinct force set is simulated once, as one lane of the numpy
+   bitslice engine (:meth:`NumpyFaultSimulator.detection_words`);
+3. a group's first detection is the lowest set bit of the OR of
+   ``detect[set] & mask`` over its injections — the earliest of the
+   injections' own first hits — and the handler maps its groups' firsts to
+   the fault's :class:`Detection`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,9 +62,8 @@ from repro.defects.fault_types import (
 )
 from repro.layout.cells import GND, VDD
 from repro.layout.design import LayoutDesign
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import FaultSite, StuckAtFault
-from repro.simulation.logic_sim import pack_patterns
+from repro.simulation.numpy_sim import Lane, NumpyFaultSimulator
 from repro.switchsim.strengths import (
     PI_STRENGTH,
     SUPPLY_STRENGTH,
@@ -62,6 +76,17 @@ from repro.switchsim.strengths import (
 __all__ = ["SwitchSimResult", "SwitchLevelFaultSimulator", "Detection"]
 
 _SUPPLIES = (VDD, GND)
+
+#: ``(force set, vector mask)``: the forces apply on the mask's vectors.
+_Injection = tuple[Lane, np.ndarray]
+
+#: Injections staged before their masks are checked and packed together.
+_STAGED_ROWS = 1024
+
+#: Index of the lowest set bit of each byte value (0 for 0).
+_LOWEST_BIT = np.array(
+    [(v & -v).bit_length() - 1 if v else 0 for v in range(256)], dtype=np.int64
+)
 
 
 @dataclass(frozen=True)
@@ -119,6 +144,142 @@ class _CellInfo:
     gate_type: GateType
 
 
+@dataclass
+class _Pending:
+    """One fault after pass 1.
+
+    Each of ``groups`` resolves to the first vector where any of its
+    injections misbehaves (None if none does); ``finish(firsts, *args)``
+    maps those firsts, in group order, to the fault's :class:`Detection`.
+    ``finish`` is a module-level function rather than a closure, which
+    keeps the state held per fault until pass 3 small.
+    """
+
+    groups: list[list[_Injection]]
+    finish: Callable[..., Detection]
+    args: tuple = ()
+
+
+def _given(firsts: Sequence[int | None], detection: Detection) -> Detection:
+    return detection
+
+
+def _fixed(detection: Detection) -> _Pending:
+    """A fault whose detection needs no simulation."""
+    return _Pending([], _given, (detection,))
+
+
+def _voltage_detection(
+    firsts: Sequence[int | None], iddq: int | None, peak: float
+) -> Detection:
+    """Groups (flips, X vectors): strict from the flips, potential from both."""
+    strict, unknown = firsts
+    return Detection(strict, _min_opt(strict, unknown), iddq, iddq_current=peak)
+
+
+def _voltage(
+    strict: list[_Injection],
+    x_only: list[_Injection],
+    iddq: int | None = None,
+    peak: float = 0.0,
+) -> _Pending:
+    return _Pending([strict, x_only], _voltage_detection, (iddq, peak))
+
+
+def _stuck_open_detection(firsts: Sequence[int | None]) -> Detection:
+    """Groups (flips, X vectors) per cell: any cell's misbehaviour counts."""
+    return Detection(_min_all(firsts[0::2]), _min_all(firsts), None)
+
+
+def _gate_open_detection(
+    firsts: Sequence[int | None], iddq: int | None, peak: float
+) -> Detection:
+    """Groups (flips, X vectors) for the always-on gate, then the always-off
+    one: strict needs both assumptions to fail, potential either."""
+    return Detection(
+        _max_opt(firsts[0], firsts[2]), _min_all(firsts), iddq, iddq_current=peak
+    )
+
+
+def _floating_detection(firsts: Sequence[int | None]) -> Detection:
+    """Groups per trapped-charge assumption: strict needs both to fail."""
+    low, high = firsts
+    return Detection(_max_opt(low, high), _min_opt(low, high), None)
+
+
+class _InjectionTable:
+    """Pass-1 store: the distinct force sets and every injection's packed mask.
+
+    Injections are staged, then checked and packed ``_STAGED_ROWS`` at a
+    time: one with an empty mask is dropped, so its forces are not simulated
+    unless another injection needs them.
+    """
+
+    def __init__(self, n_patterns: int):
+        self.n_patterns = n_patterns
+        self.set_index: dict[Lane, int] = {}
+        self.sets: list[Lane] = []
+        self.injection_sets: list[int] = []
+        self.injection_groups: list[int] = []
+        self.n_groups = 0
+        self._masks: list[np.ndarray] = []
+        self._staged: list[tuple[int, Lane, np.ndarray]] = []
+
+    def add(self, group: list[_Injection]) -> int:
+        """Register one group of injections; return its id."""
+        group_id = self.n_groups
+        self.n_groups += 1
+        self._staged.extend((group_id, forces, mask) for forces, mask in group)
+        if len(self._staged) >= _STAGED_ROWS:
+            self.flush()
+        return group_id
+
+    def flush(self) -> None:
+        """Check and pack the staged injections."""
+        if not self._staged:
+            return
+        masks = np.stack([mask for _, _, mask in self._staged])
+        live = masks.any(axis=1)
+        for (group_id, forces, _), alive in zip(self._staged, live.tolist()):
+            if alive:
+                set_id = self.set_index.get(forces)
+                if set_id is None:
+                    set_id = self.set_index[forces] = len(self.sets)
+                    self.sets.append(forces)
+                self.injection_sets.append(set_id)
+                self.injection_groups.append(group_id)
+        if live.any():
+            self._masks.append(np.packbits(masks[live], axis=1, bitorder="little"))
+        self._staged = []
+
+    def firsts(self, detect: np.ndarray) -> list[int | None]:
+        """Each group's 1-based first detecting vector, given the set words.
+
+        ``detect`` holds one row of detection words per force set (call
+        :meth:`flush` first, so that ``sets`` is complete); bytes of its
+        little-endian words line up with the masks' packed bytes.
+        """
+        never = self.n_patterns + 1
+        earliest = np.full(self.n_groups, never, dtype=np.int64)
+        if self.injection_sets:
+            detect_bytes = np.ascontiguousarray(detect).view(np.uint8)
+            sets = np.asarray(self.injection_sets, dtype=np.intp)
+            groups = np.asarray(self.injection_groups, dtype=np.intp)
+            start = 0
+            for masks in self._masks:
+                end = start + len(masks)
+                hits = detect_bytes[sets[start:end], : masks.shape[1]] & masks
+                nonzero = hits != 0
+                byte = nonzero.argmax(axis=1)
+                value = hits[np.arange(len(hits)), byte]
+                first = np.where(
+                    nonzero.any(axis=1), byte * 8 + _LOWEST_BIT[value] + 1, never
+                )
+                np.minimum.at(earliest, groups[start:end], first)
+                start = end
+        return [k if k != never else None for k in earliest.tolist()]
+
+
 class SwitchLevelFaultSimulator:
     """Simulator bound to one layout design and one vector sequence."""
 
@@ -131,14 +292,14 @@ class SwitchLevelFaultSimulator:
     ):
         self.design = design
         self.mapped = design.mapped
-        self.fault_sim = FaultSimulator(self.mapped)
-        self.width = self.fault_sim.width
         self.patterns = [list(p) for p in patterns]
         self.n_patterns = len(self.patterns)
         if not 0 < v_low <= 0.5 <= v_high < 1:
             raise ValueError("thresholds must satisfy 0 < v_low <= 0.5 <= v_high < 1")
         self.v_low = v_low
         self.v_high = v_high
+        self.engine = NumpyFaultSimulator(self.mapped)
+        self.packed = self.engine.pack(self.patterns)
 
         self.cells: dict[str, _CellInfo] = {}
         self.driver_cell: dict[str, _CellInfo] = {}
@@ -146,6 +307,10 @@ class SwitchLevelFaultSimulator:
             info = _CellInfo(gate, gate.name, gate.inputs, gate.output, gate.gate_type)
             self.cells[gate.name] = info
             self.driver_cell[gate.output] = info
+        self._combos: dict[str, np.ndarray] = {}
+        self._conductances: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._net_forces: dict[tuple[str, int], Lane] = {}
+        self._level_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
         self._simulate_good()
 
@@ -153,33 +318,23 @@ class SwitchLevelFaultSimulator:
     # Fault-free preparation
     # ------------------------------------------------------------------
     def _simulate_good(self) -> None:
-        n_inputs = len(self.mapped.primary_inputs)
-        width = self.width
-        self.groups = pack_patterns(self.patterns, n_inputs, width)
-        self.good: list[dict[str, int]] = [
-            self.fault_sim.logic.simulate_packed(words) for words in self.groups
-        ]
-        self.group_masks = []
-        for g in range(len(self.groups)):
-            n_here = min(width, self.n_patterns - g * width)
-            self.group_masks.append((1 << n_here) - 1)
-
-        # Per-net value arrays over all vectors (numpy uint8).
-        nets = self.mapped.nets
-        self.values: dict[str, np.ndarray] = {}
-        for net in nets:
-            bits = np.zeros(self.n_patterns, dtype=np.uint8)
-            for g, good in enumerate(self.good):
-                word = good[net]
-                base = g * width
-                n_here = min(width, self.n_patterns - base)
-                for b in range(n_here):
-                    bits[base + b] = (word >> b) & 1
-            self.values[net] = bits
+        # Per-net value arrays over all vectors (numpy uint8), unpacked from
+        # the engine's bitslice good values.
+        good = self.engine.good_values(self.packed)
+        bits = np.unpackbits(
+            np.ascontiguousarray(good.T).view(np.uint8),
+            axis=1,
+            count=self.n_patterns,
+            bitorder="little",
+        )
+        net_id = self.engine.logic.net_id
+        self.values: dict[str, np.ndarray] = {
+            net: bits[net_id[net]] for net in self.mapped.nets
+        }
 
         # Per-net drive strength arrays (strength holding the current value).
         self.drive: dict[str, np.ndarray] = {}
-        for net in nets:
+        for net in self.mapped.nets:
             self.drive[net] = self._net_drive(net)
 
     def _net_drive(self, net: str) -> np.ndarray:
@@ -189,21 +344,40 @@ class SwitchLevelFaultSimulator:
         if cell is None:  # primary input: tester-driven
             return np.full(self.n_patterns, PI_STRENGTH)
         combos = self._combo_indices(cell)
-        n = len(cell.inputs)
-        g_up = np.zeros(2**n)
-        g_down = np.zeros(2**n)
-        for code in range(2**n):
-            bits = tuple((code >> i) & 1 for i in range(n))
-            up, down = cell_conductances(cell.gate_type, bits)
-            g_up[code], g_down[code] = up, down
+        g_up, g_down = self._tables(cell)
         value = self.values[net]
         return np.where(value == 1, g_up[combos], g_down[combos])
 
     def _combo_indices(self, cell: _CellInfo) -> np.ndarray:
-        combos = np.zeros(self.n_patterns, dtype=np.int64)
-        for i, net in enumerate(cell.inputs):
-            combos |= self.values[net].astype(np.int64) << i
+        combos = self._combos.get(cell.instance)
+        if combos is None:
+            combos = np.zeros(self.n_patterns, dtype=np.int64)
+            for i, net in enumerate(cell.inputs):
+                combos |= self.values[net].astype(np.int64) << i
+            self._combos[cell.instance] = combos
         return combos
+
+    def _tables(
+        self,
+        cell: _CellInfo,
+        n_mods: tuple[tuple[int, str], ...] = (),
+        p_mods: tuple[tuple[int, str], ...] = (),
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(G_pullup, G_pulldown) per input combination of a (faulty) cell."""
+        n = len(cell.inputs)
+        key = (cell.gate_type, n, n_mods, p_mods)
+        tables = self._conductances.get(key)
+        if tables is None:
+            g_up = np.zeros(2**n)
+            g_down = np.zeros(2**n)
+            for code in range(2**n):
+                bits = tuple((code >> i) & 1 for i in range(n))
+                up, down = cell_conductances(
+                    cell.gate_type, bits, dict(n_mods), dict(p_mods)
+                )
+                g_up[code], g_down[code] = up, down
+            tables = self._conductances[key] = (g_up, g_down)
+        return tables
 
     # ------------------------------------------------------------------
     # Public API
@@ -214,8 +388,8 @@ class SwitchLevelFaultSimulator:
         with obs.span(
             "switch_sim.run", n_faults=len(result.faults), n_patterns=self.n_patterns
         ):
-            for fault in result.faults:
-                det = self._dispatch(fault)
+            detections, table = self._evaluate(result.faults)
+            for fault, det in zip(result.faults, detections):
                 if det.strict is not None:
                     result.first_detection[id(fault)] = det.strict
                 potential = det.merged_potential()
@@ -226,6 +400,14 @@ class SwitchLevelFaultSimulator:
                 if det.iddq_current > 0:
                     result.iddq_peak[id(fault)] = det.iddq_current
         obs.inc("switch_sim.faults_simulated", len(result.faults))
+        classes = Counter(type(fault).__name__ for fault in result.faults)
+        for name in sorted(classes):
+            obs.inc(f"switch_sim.class.{name}", classes[name])
+        obs.inc("switch_sim.injections", len(table.injection_sets))
+        obs.inc("switch_sim.force_sets", len(table.sets))
+        obs.inc(
+            "switch_sim.lane_batches", -(-len(table.sets) // self.engine.lane_batch)
+        )
         obs.inc("switch_sim.detected_strict", len(result.first_detection))
         obs.inc(
             "switch_sim.detected_potential", len(result.first_detection_potential)
@@ -234,6 +416,28 @@ class SwitchLevelFaultSimulator:
         return result
 
     def _dispatch(self, fault: RealisticFault) -> Detection:
+        """Simulate one fault on its own."""
+        return self._evaluate([fault])[0][0]
+
+    def _evaluate(
+        self, faults: Iterable[RealisticFault]
+    ) -> tuple[list[Detection], _InjectionTable]:
+        """The three passes: collect injections, simulate sets, resolve."""
+        table = _InjectionTable(self.n_patterns)
+        plans = []
+        for fault in faults:
+            pending = self._plan(fault)
+            ids = tuple(table.add(group) for group in pending.groups)
+            plans.append((pending.finish, pending.args, ids))
+        table.flush()
+        detect = self.engine.detection_words(table.sets, self.packed, self.n_patterns)
+        firsts = table.firsts(detect)
+        detections = [
+            finish([firsts[i] for i in ids], *args) for finish, args, ids in plans
+        ]
+        return detections, table
+
+    def _plan(self, fault: RealisticFault) -> _Pending:
         if isinstance(fault, BridgeFault):
             return self._bridge(fault)
         if isinstance(fault, TransistorStuckOn):
@@ -247,119 +451,88 @@ class SwitchLevelFaultSimulator:
         raise TypeError(f"unknown fault class {type(fault).__name__}")
 
     # ------------------------------------------------------------------
-    # Masked packed detection helpers
+    # Injection helpers
     # ------------------------------------------------------------------
-    def _mask_words(self, mask: np.ndarray) -> list[int]:
-        words = []
-        width = self.width
-        for g in range(len(self.groups)):
-            base = g * width
-            n_here = min(width, self.n_patterns - base)
-            word = 0
-            for b in range(n_here):
-                if mask[base + b]:
-                    word |= 1 << b
-            words.append(word)
-        return words
-
-    def _first_masked_detection(
-        self, injections: list[tuple[list[StuckAtFault], np.ndarray]]
-    ) -> int | None:
-        """First vector where any (forces, vector-mask) injection misbehaves."""
-        mask_words = [
-            (forces, self._mask_words(mask))
-            for forces, mask in injections
-            if mask.any()
-        ]
-        if not mask_words:
-            return None
-        for g, good in enumerate(self.good):
-            hit = 0
-            for forces, words in mask_words:
-                word = words[g] & self.group_masks[g]
-                if not word:
-                    continue
-                if len(forces) == 1:
-                    diff = self.fault_sim.detection_word(forces[0], good)
-                else:
-                    diff = self.fault_sim.detection_word_multi(forces, good)
-                hit |= diff & word
-            if hit:
-                return g * self.width + ((hit & -hit).bit_length() - 1) + 1
-        return None
-
     @staticmethod
     def _first_true(mask: np.ndarray) -> int | None:
         indices = np.flatnonzero(mask)
         return int(indices[0]) + 1 if indices.size else None
 
+    def _net_force(self, net: str, value: int) -> Lane:
+        forces = self._net_forces.get((net, value))
+        if forces is None:
+            forces = self._net_forces[(net, value)] = (StuckAtFault(net, value),)
+        return forces
+
     def _flip_injections(
         self, net: str, flip0: np.ndarray, flip1: np.ndarray
-    ) -> list[tuple[list[StuckAtFault], np.ndarray]]:
+    ) -> list[_Injection]:
         """Masked single-net injections for force-to-0/force-to-1 vectors."""
         if net in _SUPPLIES:
             return []
-        injections = []
-        if flip0.any():
-            injections.append(([StuckAtFault(net, 0)], flip0))
-        if flip1.any():
-            injections.append(([StuckAtFault(net, 1)], flip1))
-        return injections
+        return [
+            (self._net_force(net, 0), flip0),
+            (self._net_force(net, 1), flip1),
+        ]
 
     def _x_injections(
         self, net: str, x_mask: np.ndarray, values: np.ndarray
-    ) -> list[tuple[list[StuckAtFault], np.ndarray]]:
+    ) -> list[_Injection]:
         """Potential-detection injections: force opposite of good at X vectors."""
-        if net in _SUPPLIES or not x_mask.any():
-            return []
-        return self._flip_injections(net, x_mask & (values == 1), x_mask & (values == 0))
+        return self._flip_injections(
+            net, x_mask & (values == 1), x_mask & (values == 0)
+        )
 
     # ------------------------------------------------------------------
     # Bridge faults
     # ------------------------------------------------------------------
-    def _bridge(self, fault: BridgeFault) -> Detection:
+    def _bridge(self, fault: BridgeFault) -> _Pending:
         a, b = fault.net_a, fault.net_b
         if {a, b} == set(_SUPPLIES):
             # Power-to-ground short: the die draws massive current and no
             # valid levels exist — any vector fails either test.
             if self.n_patterns:
-                return Detection(1, 1, 1, iddq_current=1e3)
-            return Detection()
+                return _fixed(Detection(1, 1, 1, iddq_current=1e3))
+            return _fixed(Detection())
         if "#" in a or "#" in b:
             return self._bridge_internal(fault)
 
-        va = self._rail_or_values(a)
-        vb = self._rail_or_values(b)
-        diff = va != vb
+        high_a, low_a = self._levels(a)
+        high_b, low_b = self._levels(b)
+        a_high = high_a & low_b  # a = 1 fights b = 0
+        b_high = low_a & high_b  # a = 0 fights b = 1
+        diff = a_high | b_high
         if not diff.any():
-            return Detection()
+            return _fixed(Detection())
         iddq = self._first_true(diff)
 
         ga = self._rail_or_drive(a)
         gb = self._rail_or_drive(b)
+        total = ga + gb
         # Quiescent current of the fight: VDD through the two drive paths in
         # series (zero bridge resistance).
-        fight_current = np.where(diff, ga * gb / (ga + gb), 0.0)
-        peak_current = float(fight_current.max()) if diff.any() else 0.0
-        v_node = (ga * va + gb * vb) / (ga + gb)
+        peak_current = float(np.max(ga * gb / total, where=diff, initial=0.0))
+        # Divider voltage of the bridged node: on a fighting vector only the
+        # high side's conductance pulls up.
+        v_node = np.where(high_a, ga, gb) / total
+        high_wins = v_node >= self.v_high
         # Wired-AND tie-break: an exactly balanced fight resolves low.
         low_wins = (v_node <= self.v_low) | (v_node == 0.5)
-        a_wins = diff & (np.where(va == 1, v_node >= self.v_high, low_wins))
-        b_wins = diff & (np.where(vb == 1, v_node >= self.v_high, low_wins))
-        x_mask = diff & ~a_wins & ~b_wins
+        unresolved = ~(high_wins | low_wins)
 
-        strict_injections = []
-        for net, wins, values in ((b, a_wins, vb), (a, b_wins, va)):
-            strict_injections.extend(
-                self._flip_injections(net, wins & (values == 1), wins & (values == 0))
-            )
-        strict = self._first_masked_detection(strict_injections)
+        strict = self._flip_injections(b, b_high & low_wins, a_high & high_wins)
+        strict += self._flip_injections(a, a_high & low_wins, b_high & high_wins)
+        x_only = self._flip_injections(a, a_high & unresolved, b_high & unresolved)
+        x_only += self._flip_injections(b, b_high & unresolved, a_high & unresolved)
+        return _voltage(strict, x_only, iddq, peak_current)
 
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(a, x_mask, va))
-        potential_injections.extend(self._x_injections(b, x_mask, vb))
-        potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, iddq, iddq_current=peak_current)
+    def _levels(self, net: str) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (is 1, is 0) vectors of a net or rail, memoised."""
+        levels = self._level_memo.get(net)
+        if levels is None:
+            high = self._rail_or_values(net) == 1
+            levels = self._level_memo[net] = (high, ~high)
+        return levels
 
     def _rail_or_values(self, net: str) -> np.ndarray:
         if net == VDD:
@@ -373,7 +546,7 @@ class SwitchLevelFaultSimulator:
             return np.full(self.n_patterns, SUPPLY_STRENGTH)
         return self.drive[net]
 
-    def _bridge_internal(self, fault: BridgeFault) -> Detection:
+    def _bridge_internal(self, fault: BridgeFault) -> _Pending:
         """Bridge between an external net and a cell-internal chain node."""
         internal = fault.net_a if "#" in fault.net_a else fault.net_b
         external = fault.net_b if internal == fault.net_a else fault.net_a
@@ -384,12 +557,12 @@ class SwitchLevelFaultSimulator:
             # conducting pair (conservatively: from the first vector, at a
             # weak stack-limited current).
             if self.n_patterns:
-                return Detection(None, None, 1, iddq_current=0.1)
-            return Detection()
+                return _fixed(Detection(None, None, 1, iddq_current=0.1))
+            return _fixed(Detection())
         instance, tag = internal.split("#", 1)
         cell = self.cells.get(instance)
         if cell is None:
-            return Detection()
+            return _fixed(Detection())
         tap_index = int(tag[1:])
 
         out = cell.output
@@ -398,51 +571,45 @@ class SwitchLevelFaultSimulator:
         ext_drive = self._rail_or_drive(external)
         out_vals = self.values[out]
 
-        out_flip0 = np.zeros(self.n_patterns, dtype=bool)
-        out_flip1 = np.zeros(self.n_patterns, dtype=bool)
-        out_x = np.zeros(self.n_patterns, dtype=bool)
-        ext_flip0 = np.zeros(self.n_patterns, dtype=bool)
-        ext_flip1 = np.zeros(self.n_patterns, dtype=bool)
-        ext_x = np.zeros(self.n_patterns, dtype=bool)
-        iddq_mask = np.zeros(self.n_patterns, dtype=bool)
-
+        # Solve the tapped cell once per distinct (input combination,
+        # external value, external drive) triple.
         n = len(cell.inputs)
-        for k in range(self.n_patterns):
-            bits = tuple((int(combos[k]) >> i) & 1 for i in range(n))
-            out_new, tap_val = solve_with_tap(
+        drives, drive_index = np.unique(ext_drive, return_inverse=True)
+        keys = ((drive_index.reshape(-1) * 2 + ext_vals) << n) | combos
+        triples, inverse = np.unique(keys, return_inverse=True)
+        out_levels = np.empty(len(triples), dtype=np.int8)
+        tap_levels = np.empty(len(triples), dtype=np.int8)
+        for t, key in enumerate(triples.tolist()):
+            code = key & ((1 << n) - 1)
+            out_levels[t], tap_levels[t] = solve_with_tap(
                 cell.gate_type,
-                bits,
+                tuple((code >> i) & 1 for i in range(n)),
                 tap_index,
-                float(ext_vals[k]),
-                float(ext_drive[k]),
+                float((key >> n) & 1),
+                float(drives[key >> (n + 1)]),
             )
-            good_out = int(out_vals[k])
-            if out_new == 2:
-                out_x[k] = True
-            elif out_new != good_out:
-                (out_flip1 if out_new else out_flip0)[k] = True
-            if external not in _SUPPLIES:
-                if tap_val == 2:
-                    ext_x[k] = True
-                elif tap_val != int(ext_vals[k]):
-                    (ext_flip1 if tap_val else ext_flip0)[k] = True
-            if out_new == 2 or tap_val == 2 or out_new != good_out:
-                iddq_mask[k] = True
+        out_new = out_levels[inverse.reshape(-1)]
+        tap_val = tap_levels[inverse.reshape(-1)]
 
-        strict_injections = self._flip_injections(out, out_flip0, out_flip1)
-        strict_injections.extend(self._flip_injections(external, ext_flip0, ext_flip1))
-        strict = self._first_masked_detection(strict_injections)
+        out_x = out_new == 2
+        ext_x = tap_val == 2
+        iddq_mask = out_x | ext_x | (out_new != out_vals)
 
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(out, out_x, out_vals))
-        potential_injections.extend(self._x_injections(external, ext_x, ext_vals))
-        potential = self._first_masked_detection(potential_injections)
+        strict = self._flip_injections(
+            out, (out_new == 0) & (out_vals == 1), (out_new == 1) & (out_vals == 0)
+        )
+        strict += self._flip_injections(
+            external, (tap_val == 0) & (ext_vals == 1), (tap_val == 1) & (ext_vals == 0)
+        )
+        x_only = self._x_injections(out, out_x, out_vals) + self._x_injections(
+            external, ext_x, ext_vals
+        )
         peak = 0.0
         if iddq_mask.any():
             # The fight runs through the external driver and the cell stack;
             # bound it by the external drive strength at the worst vector.
             peak = float(np.where(iddq_mask, np.minimum(ext_drive, 4.0), 0.0).max())
-        return Detection(strict, potential, self._first_true(iddq_mask), iddq_current=peak)
+        return _voltage(strict, x_only, self._first_true(iddq_mask), peak)
 
     # ------------------------------------------------------------------
     # Transistor faults
@@ -454,29 +621,17 @@ class SwitchLevelFaultSimulator:
             return None
         return cell, dev[0].lower(), int(dev[1:])
 
-    def _faulty_tables(
-        self,
-        cell: _CellInfo,
-        n_mods: dict[int, str],
-        p_mods: dict[int, str],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(cell.inputs)
-        g_up = np.zeros(2**n)
-        g_down = np.zeros(2**n)
-        for code in range(2**n):
-            bits = tuple((code >> i) & 1 for i in range(n))
-            up, down = cell_conductances(cell.gate_type, bits, n_mods, p_mods)
-            g_up[code], g_down[code] = up, down
-        return g_up, g_down
-
-    def _stuck_on(self, device: str) -> Detection:
+    def _stuck_on(self, device: str) -> _Pending:
         located = self._device(device)
         if located is None:
-            return Detection()
-        cell, polarity, index = located
-        n_mods = {index: "on"} if polarity == "n" else {}
-        p_mods = {index: "on"} if polarity == "p" else {}
-        g_up, g_down = self._faulty_tables(cell, n_mods, p_mods)
+            return _fixed(Detection())
+        return self._stuck_on_cell(*located)
+
+    def _stuck_on_cell(self, cell: _CellInfo, polarity: str, index: int) -> _Pending:
+        mod = ((index, "on"),)
+        g_up, g_down = self._tables(
+            cell, mod if polarity == "n" else (), mod if polarity == "p" else ()
+        )
 
         combos = self._combo_indices(cell)
         up = g_up[combos]
@@ -496,14 +651,14 @@ class SwitchLevelFaultSimulator:
         flips0 = ((v_node <= self.v_low) | (v_node == 0.5)) & (out_vals == 1)
         x_mask = contention & (v_node > self.v_low) & (v_node < self.v_high) & (v_node != 0.5)
 
-        strict_injections = self._flip_injections(cell.output, flips0, flips1)
-        strict = self._first_masked_detection(strict_injections)
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(cell.output, x_mask, out_vals))
-        potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, iddq, iddq_current=peak_current)
+        return _voltage(
+            self._flip_injections(cell.output, flips0, flips1),
+            self._x_injections(cell.output, x_mask, out_vals),
+            iddq,
+            peak_current,
+        )
 
-    def _stuck_open(self, devices: tuple[str, ...]) -> Detection:
+    def _stuck_open(self, devices: tuple[str, ...]) -> _Pending:
         by_cell: dict[str, tuple[_CellInfo, dict[int, str], dict[int, str]]] = {}
         for name in devices:
             located = self._device(name)
@@ -516,61 +671,49 @@ class SwitchLevelFaultSimulator:
             else:
                 entry[2][index] = "absent"
         if not by_cell:
-            return Detection()
+            return _fixed(Detection())
         # Multi-cell stuck-open sets (e.g. a supply-rail break) are handled
         # per cell; detection by any cell's misbehaviour counts.
-        strict: int | None = None
-        potential: int | None = None
+        groups = []
         for cell, n_mods, p_mods in by_cell.values():
-            det = self._stuck_open_one_cell(cell, n_mods, p_mods)
-            strict = _min_opt(strict, det.strict)
-            potential = _min_opt(potential, det.merged_potential())
-        return Detection(strict, potential, None)  # no quiescent current
+            groups += self._stuck_open_one_cell(
+                cell, tuple(sorted(n_mods.items())), tuple(sorted(p_mods.items()))
+            ).groups
+        return _Pending(groups, _stuck_open_detection)  # no quiescent current
 
     def _stuck_open_one_cell(
         self,
         cell: _CellInfo,
-        n_mods: dict[int, str],
-        p_mods: dict[int, str],
-    ) -> Detection:
-        g_up, g_down = self._faulty_tables(cell, n_mods, p_mods)
-        combos = self._combo_indices(cell)
-        up = g_up[combos]
-        down = g_down[combos]
+        n_mods: tuple[tuple[int, str], ...],
+        p_mods: tuple[tuple[int, str], ...],
+    ) -> _Pending:
+        g_up, g_down = self._tables(cell, n_mods, p_mods)
+        # Per input combination: 0/1 = the output is driven to that value,
+        # 2 = a residual fight (cannot happen in these families), 3 = the
+        # output floats.
+        kinds = np.where(
+            g_up > 0, np.where(g_down > 0, 2, 1), np.where(g_down > 0, 0, 3)
+        )[self._combo_indices(cell)]
         out_vals = self.values[cell.output]
 
-        # Sequential charge-retention evaluation of the faulty output.
-        flips0 = np.zeros(self.n_patterns, dtype=bool)
-        flips1 = np.zeros(self.n_patterns, dtype=bool)
-        x_mask = np.zeros(self.n_patterns, dtype=bool)
-        state = 2  # unknown initial charge
-        for k in range(self.n_patterns):
-            if up[k] > 0 and down[k] <= 0:
-                faulty = 1
-            elif down[k] > 0 and up[k] <= 0:
-                faulty = 0
-            elif up[k] <= 0 and down[k] <= 0:
-                faulty = state  # floating: retains charge
-            else:  # residual contention (cannot happen in these families)
-                faulty = 2
-            if faulty == 2:
-                x_mask[k] = True
-            else:
-                state = faulty
-                good = int(out_vals[k])
-                if faulty != good:
-                    (flips1 if faulty else flips0)[k] = True
+        # Charge retention: a floating output keeps the value of the last
+        # vector that drove it (unknown before the first); a fight is X and
+        # leaves the charge alone.
+        last = np.maximum.accumulate(np.where(kinds < 2, np.arange(self.n_patterns), -1))
+        floating = kinds == 3
+        faulty = np.where(floating, 2, kinds)
+        held = floating & (last >= 0)
+        faulty[held] = kinds[last[held]]
 
-        strict_injections = self._flip_injections(cell.output, flips0, flips1)
-        strict = self._first_masked_detection(strict_injections)
-        potential_injections = list(strict_injections)
-        potential_injections.extend(
-            self._x_injections(cell.output, x_mask, out_vals)
+        x_mask = faulty == 2
+        flips0 = (faulty == 0) & (out_vals == 1)
+        flips1 = (faulty == 1) & (out_vals == 0)
+        return _voltage(
+            self._flip_injections(cell.output, flips0, flips1),
+            self._x_injections(cell.output, x_mask, out_vals),
         )
-        potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, None)
 
-    def _gate_open(self, device: str) -> Detection:
+    def _gate_open(self, device: str) -> _Pending:
         """Floating single gate: unknown but fixed state.
 
         Strict voltage detection requires failing under both the always-on
@@ -578,22 +721,19 @@ class SwitchLevelFaultSimulator:
         """
         located = self._device(device)
         if located is None:
-            return Detection()
+            return _fixed(Detection())
         cell, polarity, index = located
-        off_mods = ({index: "absent"}, {}) if polarity == "n" else ({}, {index: "absent"})
+        off = ((index, "absent"),)
+        off_mods = (off, ()) if polarity == "n" else ((), off)
 
-        det_on = self._stuck_on(device)
-        det_off = self._stuck_open_one_cell(cell, *off_mods)
-        strict = _max_opt(det_on.strict, det_off.strict)
-        potential = _min_opt(det_on.merged_potential(), det_off.merged_potential())
-        return Detection(
-            strict, potential, det_on.iddq, iddq_current=det_on.iddq_current
-        )
+        on = self._stuck_on_cell(cell, polarity, index)
+        off = self._stuck_open_one_cell(cell, *off_mods)
+        return _Pending(on.groups + off.groups, _gate_open_detection, on.args)
 
     # ------------------------------------------------------------------
     # Floating-net (open) faults
     # ------------------------------------------------------------------
-    def _floating_net(self, fault: FloatingNetFault) -> Detection:
+    def _floating_net(self, fault: FloatingNetFault) -> _Pending:
         if fault.floating_inputs:
             return self._floating_inputs(fault)
         if fault.stuck_open:
@@ -602,13 +742,13 @@ class SwitchLevelFaultSimulator:
         # the unknown level (strict: undetected) but will very likely see a
         # wrong value at some point (potential: first vector).
         if fault.floats_output_port and self.n_patterns:
-            return Detection(None, 1, None)
-        return Detection()
+            return _fixed(Detection(None, 1, None))
+        return _fixed(Detection())
 
-    def _floating_inputs(self, fault: FloatingNetFault) -> Detection:
+    def _floating_inputs(self, fault: FloatingNetFault) -> _Pending:
         net = fault.net
         if net not in self.values:
-            return Detection()
+            return _fixed(Detection())
         forces_template: list[tuple[str, int]] = []
         for instance, _ in fault.floating_inputs:
             cell = self.cells.get(instance)
@@ -618,30 +758,31 @@ class SwitchLevelFaultSimulator:
                 if pin_net == net:
                     forces_template.append((instance, pin))
         if not forces_template:
-            return Detection()
+            return _fixed(Detection())
 
-        firsts: list[int | None] = []
         net_vals = self.values[net]
-        for assumption in (0, 1):
-            forces = [
-                StuckAtFault(net, assumption, FaultSite.GATE_INPUT, inst, pin)
-                for inst, pin in forces_template
+        groups = [
+            [
+                (
+                    tuple(
+                        StuckAtFault(net, assumption, FaultSite.GATE_INPUT, inst, pin)
+                        for inst, pin in forces_template
+                    ),
+                    net_vals == (1 - assumption),
+                )
             ]
-            mask = net_vals == (1 - assumption)
-            if not mask.any():
-                firsts.append(None)
-                continue
-            firsts.append(self._first_masked_detection([(forces, mask)]))
-
-        strict = None
-        if firsts[0] is not None and firsts[1] is not None:
-            strict = max(firsts[0], firsts[1])
-        potential = _min_opt(firsts[0], firsts[1])
-        return Detection(strict, potential, None)
+            for assumption in (0, 1)
+        ]
+        return _Pending(groups, _floating_detection)
 
 
 def _min_opt(a: int | None, b: int | None) -> int | None:
     candidates = [x for x in (a, b) if x is not None]
+    return min(candidates) if candidates else None
+
+
+def _min_all(values: Sequence[int | None]) -> int | None:
+    candidates = [x for x in values if x is not None]
     return min(candidates) if candidates else None
 
 

@@ -64,6 +64,7 @@ def test_cli_profile_prints_span_tree_and_metrics(capsys):
         assert span_name in out
     assert "metrics:" in out
     assert "fault_sim.patterns_applied" in out
+    assert "switch_sim.force_sets" in out
     # --profile leaves the global state disabled afterwards.
     assert not obs.is_enabled()
 

@@ -142,34 +142,39 @@ def test_redundant_fault_never_detected():
 
 
 def test_multi_force_detection_matches_singles(c17_circuit):
-    """detection_word_multi on one fault equals detection_word."""
-    sim = FaultSimulator(c17_circuit)
+    """A 1-tuple lane of the numpy engine equals the fault's detection word."""
     from repro.simulation.logic_sim import pack_patterns
+    from repro.simulation.numpy_sim import NumpyFaultSimulator
 
+    sim = FaultSimulator(c17_circuit)
+    lanes_sim = NumpyFaultSimulator(c17_circuit)
     rng = random.Random(21)
     patterns = [[rng.randint(0, 1) for _ in range(5)] for _ in range(64)]
     words = pack_patterns(patterns, 5)[0]
     good = sim.logic.simulate_packed(words)
-    for fault in full_fault_universe(c17_circuit):
-        single = sim.detection_word(fault, good)
-        multi = sim.detection_word_multi([fault], good)
-        assert single == multi
+    faults = full_fault_universe(c17_circuit)
+    lanes = lanes_sim.detection_words(
+        [(fault,) for fault in faults], lanes_sim.pack(patterns), len(patterns)
+    )
+    applied = (1 << len(patterns)) - 1
+    for fault, row in zip(faults, lanes):
+        assert int(row[0]) == sim.detection_word(fault, good) & applied
 
 
 def test_multi_force_two_pins(c17_circuit):
-    """Forcing both branch pins of a stem equals the stem fault."""
-    sim = FaultSimulator(c17_circuit)
-    from repro.simulation.logic_sim import pack_patterns
+    """Forcing both branch pins of a stem in one lane equals the stem fault."""
+    from repro.simulation.numpy_sim import NumpyFaultSimulator
 
+    sim = NumpyFaultSimulator(c17_circuit)
     rng = random.Random(22)
     patterns = [[rng.randint(0, 1) for _ in range(5)] for _ in range(64)]
-    words = pack_patterns(patterns, 5)[0]
-    good = sim.logic.simulate_packed(words)
 
     # Net G11 branches into G16 and G19.
     stem = StuckAtFault("G11", 0)
-    pins = [
+    pins = (
         StuckAtFault("G11", 0, FaultSite.GATE_INPUT, "G16", 1),
         StuckAtFault("G11", 0, FaultSite.GATE_INPUT, "G19", 0),
-    ]
-    assert sim.detection_word_multi(pins, good) == sim.detection_word(stem, good)
+    )
+    words = sim.detection_words([pins, (stem,)], sim.pack(patterns), len(patterns))
+    assert words[0].tolist() == words[1].tolist()
+    assert words[1].any()

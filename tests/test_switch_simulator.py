@@ -93,7 +93,7 @@ def test_stuck_open_needs_two_pattern_sequence(c17_design):
 def test_gate_open_strict_requires_both_assumptions(c17_design, c17_sim):
     device = c17_design.transistors[0].name
     det = c17_sim._dispatch(TransistorGateOpen(weight=1.0, transistor=device))
-    det_on = c17_sim._stuck_on(device)
+    det_on = c17_sim._dispatch(TransistorStuckOn(weight=1.0, transistor=device))
     if det.strict is not None:
         assert det_on.strict is not None
         assert det.strict >= det_on.strict
@@ -131,3 +131,41 @@ def test_full_extraction_coverage_sane(c17_design, c17_sim):
     # theta(k) monotone non-decreasing
     values = [cov_pot.theta_at(k) for k in range(1, result.n_patterns + 1)]
     assert values == sorted(values)
+
+
+def test_work_counters_repeat_across_runs(c17_design):
+    from repro import obs
+
+    patterns = random_patterns(5, 300, seed=9)
+    faults = extract_faults(c17_design).faults
+    snapshots = []
+    for _ in range(2):
+        _, registry = obs.enable()
+        try:
+            SwitchLevelFaultSimulator(c17_design, patterns).run(faults)
+            counters = registry.snapshot()["counters"]
+        finally:
+            obs.disable()
+        snapshots.append(
+            {k: v for k, v in counters.items() if k.startswith("switch_sim.")}
+        )
+    assert snapshots[0] == snapshots[1]
+    counters = snapshots[0]
+    per_class = {
+        k: v for k, v in counters.items() if k.startswith("switch_sim.class.")
+    }
+    assert set(per_class) == {
+        f"switch_sim.class.{cls.__name__}"
+        for cls in (
+            BridgeFault,
+            FloatingNetFault,
+            TransistorGateOpen,
+            TransistorStuckOn,
+            TransistorStuckOpen,
+        )
+    }
+    assert sum(per_class.values()) == counters["switch_sim.faults_simulated"]
+    assert 0 < counters["switch_sim.force_sets"] < counters["switch_sim.injections"]
+    assert counters["switch_sim.lane_batches"] == -(
+        -counters["switch_sim.force_sets"] // 64
+    )
