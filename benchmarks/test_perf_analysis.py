@@ -24,15 +24,18 @@ from repro.circuit import BENCHMARKS, load_benchmark
 from repro.circuit.iscas import c880_like
 from repro.simulation import StuckAtFault, collapse_faults
 
-# Measured on c880_like: ~1.9k closures / ~203k queue steps.  The bounds
-# leave ~2.5x headroom so refactors fail loudly only on real regressions.
+# Measured on c880_like: 1,872 closures / 203,031 queue steps (the screen's
+# ``engine.stats`` after ``find_untestable_faults``; the shared kernel keeps
+# the dict engine's visit order, so both counts are unchanged by it).  The
+# bounds leave ~2.5x headroom so refactors fail loudly only on real
+# regressions.
 MAX_CLOSURES = 5_000
 MAX_QUEUE_STEPS = 1_000_000
 
 # Prover budget on c432_like at depth 2 / fault budget 32 (see
 # test_perf_prover_c432 for the measured values the caps derive from).
 MAX_PROVER_CLOSURES = 33_000
-MAX_PROVER_STEPS = 6_000_000
+MAX_PROVER_STEPS = 1_200_000
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +70,11 @@ def test_perf_analyze_facade_c880(benchmark, c880):
 def test_perf_prover_c432(benchmark):
     # The full proof-carrying run on c432: 49 faults proved (the screen's
     # 48 plus the static-learning extra), every certificate checked.
-    # Measured at depth 2 / fault budget 32: ~16.4k traced closures and
-    # ~2.8M closure steps; the caps leave ~2x headroom so only a real
+    # Measured at depth 2 / fault budget 32 with
+    # ``prove_untestable(load_benchmark("c432_like"), depth=2).work``:
+    # 16,407 closures and 594,381 gate visits (2.8M before split branches
+    # extended their parent's state on the kernel's trail), 1.4 s on a
+    # 2-core Linux container.  The caps leave ~2x headroom so only a real
     # budget blow-up (e.g. the per-fault budget stops binding) fails.
     circuit = load_benchmark("c432_like")
 

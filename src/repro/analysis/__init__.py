@@ -6,6 +6,9 @@ alone:
 * :mod:`repro.analysis.lint` — structural linter with typed findings
   (cycles, undriven/multi-driven nets, dangling logic, constants, fanout).
 * :mod:`repro.analysis.scoap` — SCOAP CC0/CC1/CO testability measures.
+* :mod:`repro.analysis.kernel` — the three-valued implication kernel
+  (integer ids, event-driven propagation, an undo trail) that the screen,
+  the prover and PODEM share.
 * :mod:`repro.analysis.implication` — direct-implication closure and
   fault-independent identification of provably-untestable stuck-at faults.
 * :mod:`repro.analysis.prover` — proof-carrying redundancy prover (static
@@ -179,7 +182,7 @@ def analyze_circuit(
     by :mod:`repro.analysis.check`.  The proved set — a superset of the
     screen by construction — feeds :meth:`AnalysisResult.screen`, and the
     learned implications in ``result.prover.learned`` are ready to hand to
-    PODEM.  ``prover_fault_budget`` caps traced closures spent per fault in
+    PODEM.  ``prover_fault_budget`` caps closures spent per fault in
     the recursive stage (None for the module default).
     """
     with obs.span("analysis.lint", circuit=circuit.name):

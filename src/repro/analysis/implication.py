@@ -28,12 +28,14 @@ simulation and PODEM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType, evaluate_gate_packed
-from repro.circuit.netlist import Circuit, Gate
+from repro.circuit.netlist import Circuit
 from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
+
+from .kernel import ImplicationKernel
 
 __all__ = [
     "propagate_constants",
@@ -182,16 +184,14 @@ class ImplicationEngine:
     def __init__(self, circuit: Circuit, constants: dict[str, int] | None = None):
         circuit.validate()
         self.circuit = circuit
-        self.order = levelize(circuit)
-        self.driver: dict[str, Gate] = {g.output: g for g in circuit.gates}
-        self.fanout: dict[str, list[Gate]] = circuit.fanout_map()
+        self.kernel = ImplicationKernel(circuit)
         self.constants = (
             dict(constants) if constants is not None else propagate_constants(circuit)
         )
         self.stats: dict[str, int] = {"closures": 0, "steps": 0}
+        self._constant_ids = self.kernel.ids(self.constants.items())
         self._unit_cache: dict[tuple[str, int], dict[str, int] | None] = {}
-        self._obs_cache: dict[str, tuple[bool, frozenset[tuple[str, int]]]] = {}
-        self._obs_detail_cache: dict[
+        self._obs_cache: dict[
             str, tuple[bool, tuple[tuple[str, str, int], ...]]
         ] = {}
 
@@ -201,17 +201,17 @@ class ImplicationEngine:
     def closure(
         self, literals: Iterable[tuple[str, int]]
     ) -> dict[str, int] | None:
-        """Implied assignment from asserting ``literals``; None on conflict."""
+        """Implied assignment from asserting ``literals``; None on conflict.
+
+        The returned dict lists nets in derivation order: constants, then
+        the literals, then their consequences.
+        """
         self.stats["closures"] += 1
-        values: dict[str, int] = dict(self.constants)
-        queue: list[str] = list(values)
-        for net, value in literals:
-            if values.get(net, value) != value:
-                return None
-            if net not in values:
-                values[net] = value
-                queue.append(net)
-        return self._propagate(values, queue)
+        k = self.kernel
+        visits = k.visits
+        ok = k.closure(k.ids(literals), self._constant_ids)
+        self.stats["steps"] += k.visits - visits
+        return k.assigned() if ok else None
 
     def unit_closure(self, net: str, value: int) -> dict[str, int] | None:
         """Memoised closure of the single literal ``net = value``."""
@@ -224,198 +224,58 @@ class ImplicationEngine:
         """Whether ``net = value`` survives implication closure."""
         return self.unit_closure(net, value) is not None
 
-    def _propagate(
-        self, values: dict[str, int], queue: list[str]
-    ) -> dict[str, int] | None:
-        def assign(net: str, value: int) -> bool:
-            known = values.get(net)
-            if known is None:
-                values[net] = value
-                queue.append(net)
-                return True
-            return known == value
-
-        while queue:
-            net = queue.pop()
-            gates = list(self.fanout.get(net, ()))
-            gate = self.driver.get(net)
-            if gate is not None:
-                gates.append(gate)
-            for g in gates:
-                self.stats["steps"] += 1
-                if not self._imply_gate(g, values, assign):
-                    return None
-        return values
-
-    def _imply_gate(
-        self,
-        gate: Gate,
-        values: dict[str, int],
-        assign: Callable[[str, int], bool],
-    ) -> bool:
-        gt = gate.gate_type
-        ins = [values.get(n) for n in gate.inputs]
-        out = values.get(gate.output)
-        inverted = gt in _INVERTING
-
-        # Forward: three-valued evaluation of the inputs.
-        forward = self._forward(gt, ins)
-        if forward is not None and not assign(gate.output, forward):
-            return False
-        out = values.get(gate.output)
-        if out is None:
-            return True
-        core = 1 - out if inverted else out
-
-        if gt in (GateType.NOT, GateType.BUF):
-            return assign(gate.inputs[0], core)
-        if gt in (GateType.XOR, GateType.XNOR):
-            # Parity completion: all but one input known pins the last.
-            unknown = [n for n, v in zip(gate.inputs, ins) if v is None]
-            if len(unknown) == 1:
-                parity = 0
-                for v in ins:
-                    if v is not None:
-                        parity ^= v
-                target = (out ^ parity) if gt is GateType.XOR else (1 - out) ^ parity
-                return assign(unknown[0], target)
-            return True
-
-        controlling = _CONTROLLING[gt]
-        if core == 1 - controlling:
-            # Output forced to the all-noncontrolling case: every input known.
-            nc = _NONCONTROLLING[gt]
-            return all(assign(n, nc) for n in gate.inputs)
-        # Output at the controlled value: at least one input controlling.
-        # Last-free-input justification: if every other input is known
-        # non-controlling, the remaining one must be controlling.
-        unknown = [n for n, v in zip(gate.inputs, ins) if v is None]
-        if len(unknown) == 1 and all(
-            v == _NONCONTROLLING[gt] for v in ins if v is not None
-        ):
-            return assign(unknown[0], controlling)
-        return True
-
-    @staticmethod
-    def _forward(gt: GateType, ins: list[int | None]) -> int | None:
-        if gt in (GateType.AND, GateType.NAND):
-            if any(v == 0 for v in ins):
-                core = 0
-            elif all(v == 1 for v in ins):
-                core = 1
-            else:
-                return None
-            return 1 - core if gt is GateType.NAND else core
-        if gt in (GateType.OR, GateType.NOR):
-            if any(v == 1 for v in ins):
-                core = 1
-            elif all(v == 0 for v in ins):
-                core = 0
-            else:
-                return None
-            return 1 - core if gt is GateType.NOR else core
-        if gt in (GateType.XOR, GateType.XNOR):
-            if any(v is None for v in ins):
-                return None
-            parity = 0
-            for v in ins:
-                parity ^= v  # type: ignore[operator]
-            return 1 - parity if gt is GateType.XNOR else parity
-        if ins[0] is None:
-            return None
-        return 1 - ins[0] if gt is GateType.NOT else ins[0]
-
     # ------------------------------------------------------------------
     # Observation requirements (dominators)
     # ------------------------------------------------------------------
-    def observation_requirements(
+    def observation_details(
         self, net: str
-    ) -> tuple[bool, frozenset[tuple[str, int]]]:
+    ) -> tuple[bool, tuple[tuple[str, str, int], ...]]:
         """Necessary side-input literals for observing a change on ``net``.
 
-        Returns ``(reachable, literals)``: ``reachable`` is False when no
+        Returns ``(reachable, details)``: ``reachable`` is False when no
         primary output lies in the net's output cone (any fault there is
-        untestable); ``literals`` are ``(side_net, non_controlling)`` pairs
-        over the dominator gates strictly downstream of ``net``.
+        untestable); each detail is ``(dominator_net, side_net,
+        non_controlling_value)`` over the dominator gates strictly
+        downstream of ``net`` — the shape the prover's certificates need so
+        the independent checker can re-verify each dominator claim
+        structurally.
         """
         cached = self._obs_cache.get(net)
         if cached is not None:
             return cached
-        reachable, details = self.observation_details(net)
-        result = (
-            reachable,
-            frozenset((side, nc) for _dom, side, nc in details),
-        )
+        k = self.kernel
+        source = k.index[net]
+        cone, gates = k.cone(source)
+        result: tuple[bool, tuple[tuple[str, str, int], ...]] = (False, ())
+        if any(po in cone for po in k.outputs):
+            # Dominators of every source->PO path, by forward dataflow over
+            # the cone: dom(n) = {n} | intersection over in-cone predecessors.
+            dom: dict[int, frozenset[int]] = {source: frozenset((source,))}
+            for g in gates:
+                out = k.gout[g]
+                if out == source:
+                    continue
+                inter: frozenset[int] | None = None
+                for p in k.gins[g]:
+                    if p in cone:
+                        inter = dom[p] if inter is None else inter & dom[p]
+                dom[out] = (inter or frozenset()) | {out}
+            common = frozenset.intersection(
+                *(dom[po] for po in k.outputs if po in cone)
+            )
+            details: list[tuple[str, str, int]] = []
+            for d in sorted(common - {source}, key=k.names.__getitem__):
+                code = k.gtype[d - k.n_pi]
+                if code >= 4:
+                    continue  # XOR family / NOT / BUF propagate unconditionally
+                details.extend(
+                    (k.names[d], k.names[side], (code >> 1) ^ 1)
+                    for side in k.gins[d - k.n_pi]
+                    if side not in cone
+                )
+            result = (True, tuple(details))
         self._obs_cache[net] = result
         return result
-
-    def observation_details(
-        self, net: str
-    ) -> tuple[bool, tuple[tuple[str, str, int], ...]]:
-        """Like :meth:`observation_requirements`, keeping dominator provenance.
-
-        Returns ``(reachable, details)`` where each detail is
-        ``(dominator_net, side_net, non_controlling_value)`` — the shape the
-        prover's certificates need so the independent checker can re-verify
-        each dominator claim structurally.
-        """
-        cached = self._obs_detail_cache.get(net)
-        if cached is not None:
-            return cached
-
-        cone, cone_order = self._cone_order(net)
-        po_set = set(self.circuit.primary_outputs)
-        cone_pos = [n for n in cone_order if n in po_set]
-        if not cone_pos:
-            detail_result: tuple[bool, tuple[tuple[str, str, int], ...]] = (
-                False,
-                (),
-            )
-            self._obs_detail_cache[net] = detail_result
-            return detail_result
-
-        # Dominators of every source->PO path, by forward dataflow over the
-        # cone: dom(n) = {n} | intersection of dom over in-cone predecessors.
-        dom: dict[str, frozenset[str]] = {net: frozenset((net,))}
-        for n in cone_order:
-            if n == net:
-                continue
-            preds = [
-                p for p in self.driver[n].inputs if p in cone
-            ]
-            inter: frozenset[str] | None = None
-            for p in preds:
-                d = dom[p]
-                inter = d if inter is None else inter & d
-            dom[n] = (inter or frozenset()) | {n}
-        common: frozenset[str] | None = None
-        for po in cone_pos:
-            common = dom[po] if common is None else common & dom[po]
-        dominators = (common or frozenset()) - {net}
-
-        details: list[tuple[str, str, int]] = []
-        for d in sorted(dominators):
-            gate = self.driver.get(d)
-            if gate is None:
-                continue
-            nc = _NONCONTROLLING.get(gate.gate_type)
-            if nc is None:
-                continue  # XOR family / NOT / BUF propagate unconditionally
-            for side in gate.inputs:
-                if side not in cone:
-                    details.append((d, side, nc))
-        detail_result = (True, tuple(details))
-        self._obs_detail_cache[net] = detail_result
-        return detail_result
-
-    def _cone_order(self, net: str) -> tuple[set[str], list[str]]:
-        """Output cone of ``net`` and its members in topological order."""
-        cone = {net}
-        for gate in self.order:
-            if any(n in cone for n in gate.inputs):
-                cone.add(gate.output)
-        order = [net] + [g.output for g in self.order if g.output in cone and g.output != net]
-        return cone, order
 
 
 def find_untestable_faults(
@@ -460,11 +320,11 @@ def find_untestable_faults(
             source = gate.output
         else:
             source = fault.net
-        reachable, side_literals = engine.observation_requirements(source)
+        reachable, details = engine.observation_details(source)
         if not reachable:
             flag(fault, "unobservable")
             continue
-        required |= side_literals
+        required |= frozenset((side, nc) for _dom, side, nc in details)
 
         conflict = False
         merged: dict[str, int] = {}

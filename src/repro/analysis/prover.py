@@ -35,11 +35,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.circuit.levelize import levelize
+from repro import obs
 from repro.circuit.netlist import Circuit, Gate
 from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
 
 from .implication import _NONCONTROLLING, ImplicationEngine
+from .kernel import X, eval3
 
 __all__ = [
     "CERTIFICATE_VERSION",
@@ -61,7 +62,7 @@ LearnedMap = dict[Lit, tuple[Lit, ...]]
 #: Cap on input-cone PIs enumerated when certifying a constant by splitting.
 _CONST_SPLIT_CAP = 12
 
-#: Default per-fault traced-closure budget for the recursive stage.  32 is
+#: Default per-fault closure budget for the recursive stage.  32 is
 #: calibrated on the built-in benchmarks: raising it to 160 quintuples the
 #: c432 wall time without proving a single extra fault.
 _DEFAULT_FAULT_BUDGET = 32
@@ -104,8 +105,7 @@ def static_learning(
     if engine is None:
         engine = ImplicationEngine(circuit)
     acc: dict[Lit, list[Lit]] = {}
-    nets = list(circuit.primary_inputs) + [g.output for g in engine.order]
-    for net in nets:
+    for net in engine.kernel.names:
         if net in engine.constants:
             continue
         for v in (0, 1):
@@ -207,7 +207,7 @@ class RedundancyProver:
     (``static_learning``), then depth-bounded recursive learning
     (``recursive_<k>`` where ``k`` is the deepest case split the final
     certificate uses).  Work is metered in :attr:`work`;
-    ``fault_budget`` bounds traced closures spent per fault in the
+    ``fault_budget`` bounds closures spent per fault in the
     recursive stage so the prover degrades gracefully on hard instances.
     """
 
@@ -237,10 +237,15 @@ class RedundancyProver:
             "refutes": 0,
             "splits": 0,
             "intersections": 0,
+            "replays": 0,
         }
-        self._topo_index: dict[str, int] = {
-            g.output: i for i, g in enumerate(levelize(self.circuit))
-        }
+        self.kernel = self.engine.kernel
+        self._constants = self.kernel.ids(self.engine.constants.items())
+        self._learned = self.kernel.compile_learned(self.learned)
+        #: The refutation state (extended and undone along split branches)
+        #: and the scratch state that from-scratch closures and replays use.
+        self._state = self.kernel.fork()
+        self._scratch = self.kernel.fork()
         self._gate_by_name: dict[str, Gate] = {
             g.name: g for g in self.circuit.gates
         }
@@ -250,86 +255,60 @@ class RedundancyProver:
         self._fault_start = 0
 
     # ------------------------------------------------------------------
-    # Traced closure
+    # Closures on the kernel
     # ------------------------------------------------------------------
+    def _seeds(self, constant_floor: int | None) -> list[tuple[int, int]]:
+        """Constants to seed, below topological index ``constant_floor``."""
+        if constant_floor is None:
+            return self._constants
+        n_pi = self.kernel.n_pi
+        return [(i, v) for i, v in self._constants if i - n_pi < constant_floor]
+
     def _closure(
         self,
         literals: tuple[Lit, ...],
         use_learned: bool,
         constant_floor: int | None = None,
     ) -> _ClosureResult:
-        """Propagate ``literals`` recording every step's justification.
+        """Close ``literals`` from scratch; trace the derivation on conflict.
 
         ``constant_floor`` restricts seeded constants to nets whose
         topological index is strictly below the floor (used when certifying
         a constant without circular reasoning); ``None`` seeds them all.
         """
         self.work["closures"] += 1
-        values: dict[str, int] = {}
+        k = self._scratch
+        seeds = self._seeds(constant_floor)
+        lits = k.ids(literals)
+        learned = self._learned if use_learned else None
+        if k.closure(lits, seeds, learned):
+            return _ClosureResult(k.assigned(), [], None)
+        return self._replay(seeds, lits, learned)
+
+    def _replay(
+        self,
+        seeds: list[tuple[int, int]],
+        lits: list[tuple[int, int]],
+        learned: list | None,
+    ) -> _ClosureResult:
+        """Re-run a conflicting closure from scratch, recording every step.
+
+        The kernel's visit order is the derivation order, so the replay
+        meets the same conflict through the same justifications.
+        """
+        self.work["replays"] += 1
+        k = self._scratch
         steps: list[_Step] = []
-        queue: list[str] = []
-        conflict: list[_Step | None] = [None]
+        ok = k.closure(lits, seeds, learned, trace=steps)
+        assert not ok, "replay of a conflicting closure found no conflict"
+        return _ClosureResult({}, steps, k.conflict)
 
-        def assign(net: str, value: int, kind: str, data: Any) -> bool:
-            known = values.get(net)
-            if known is None:
-                deps = self._deps_for(kind, data, values)
-                values[net] = value
-                steps.append((net, value, kind, data, deps))
-                queue.append(net)
-                return True
-            if known == value:
-                return True
-            deps = self._deps_for(kind, data, values)
-            conflict[0] = (net, value, kind, data, deps)
-            return False
-
-        for cnet, cval in self.engine.constants.items():
-            if (
-                constant_floor is not None
-                and self._topo_index.get(cnet, -1) >= constant_floor
-            ):
-                continue
-            if not assign(cnet, cval, "constant", None):
-                return _ClosureResult(values, steps, conflict[0])
-        for net, value in literals:
-            if not assign(net, value, "premise", None):
-                return _ClosureResult(values, steps, conflict[0])
-
-        while queue:
-            net = queue.pop()
-            if use_learned:
-                key = (net, values[net])
-                for cons_net, cons_val in self.learned.get(key, ()):
-                    if not assign(cons_net, cons_val, "learned", key):
-                        return _ClosureResult(values, steps, conflict[0])
-            gates = list(self.engine.fanout.get(net, ()))
-            driver = self.engine.driver.get(net)
-            if driver is not None:
-                gates.append(driver)
-            for gate in gates:
-                self.work["steps"] += 1
-
-                def on_assign(n: str, v: int, _g: Gate = gate) -> bool:
-                    return assign(n, v, "gate", _g.name)
-
-                if not self.engine._imply_gate(gate, values, on_assign):
-                    return _ClosureResult(values, steps, conflict[0])
-        return _ClosureResult(values, steps, None)
-
-    def _deps_for(
-        self, kind: str, data: Any, values: dict[str, int]
-    ) -> tuple[str, ...]:
-        if kind == "gate":
-            gate = self._gate_by_name[data]
-            return tuple(
-                n
-                for n in dict.fromkeys((*gate.inputs, gate.output))
-                if n in values
-            )
-        if kind == "learned":
-            return (data[0],)
-        return ()
+    def _ordered(self, literals: tuple[Lit, ...]) -> list[Lit]:
+        """Closure of ``literals`` with learning, in derivation order."""
+        self.work["replays"] += 1
+        k = self._scratch
+        k.closure(k.ids(literals), self._constants, self._learned)
+        return list(k.assigned().items())
 
     # ------------------------------------------------------------------
     # Certificate emission
@@ -387,7 +366,7 @@ class RedundancyProver:
         if key in self._constant_lemmas:
             return self._constant_lemmas[key]
         self._constant_lemmas[key] = None  # cycle guard
-        floor = self._topo_index.get(net, -1)
+        floor = self.kernel.index[net] - self.kernel.n_pi  # topological index
         candidates = self._cone_pis(net)
         proof: dict[str, Any] | None = None
         if len(candidates) <= _CONST_SPLIT_CAP:
@@ -402,24 +381,11 @@ class RedundancyProver:
     def _cone_pis(self, net: str) -> tuple[str, ...]:
         """Primary inputs in ``net``'s transitive fanin, in PI declaration order."""
         cached = self._cone_pi_cache.get(net)
-        if cached is not None:
-            return cached
-        support: set[str] = set()
-        seen: set[str] = set()
-        stack = [net]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            driver = self.engine.driver.get(n)
-            if driver is None:
-                support.add(n)
-            else:
-                stack.extend(driver.inputs)
-        pis = tuple(p for p in self.circuit.primary_inputs if p in support)
-        self._cone_pi_cache[net] = pis
-        return pis
+        if cached is None:
+            k = self.kernel
+            cached = tuple(k.names[i] for i in k.support((k.index[net],)))
+            self._cone_pi_cache[net] = cached
+        return cached
 
     def _const_split(
         self, literals: tuple[Lit, ...], floor: int, candidates: tuple[str, ...]
@@ -455,23 +421,21 @@ class RedundancyProver:
     # ------------------------------------------------------------------
     # Recursive learning
     # ------------------------------------------------------------------
-    def _candidates(self, values: dict[str, int]) -> list[str]:
-        """Unknown inputs of unjustified gates — the split universe."""
+    def _candidates(self) -> list[str]:
+        """Unknown inputs of unjustified gates in the refutation state."""
+        k = self._state
+        val, n_pi = k.val, k.n_pi
         out: list[str] = []
-        seen: set[str] = set()
-        for gate in self.engine.order:
-            o = values.get(gate.output)
-            if o is None:
-                continue
-            ins = [values.get(n) for n in gate.inputs]
-            if None not in ins:
-                continue
-            if ImplicationEngine._forward(gate.gate_type, ins) == o:
-                continue  # already justified by its inputs
-            for n, v in zip(gate.inputs, ins):
-                if v is None and n not in seen:
-                    seen.add(n)
-                    out.append(n)
+        seen: set[int] = set()
+        for g in sorted(i - n_pi for i in k.trail if n_pi <= i < k.n):
+            ins = k.gins[g]
+            vs = [val[i] for i in ins]
+            if X not in vs or eval3(k.gtype[g], vs) == val[k.gout[g]]:
+                continue  # fully known, or already justified by its inputs
+            for i, v in zip(ins, vs):
+                if v == X and i not in seen:
+                    seen.add(i)
+                    out.append(k.names[i])
                     if len(out) >= self.max_candidates:
                         return out
         return out
@@ -480,56 +444,65 @@ class RedundancyProver:
         return self.work["closures"] - self._fault_start < self.fault_budget
 
     def _refute(
-        self, literals: tuple[Lit, ...], depth: int
-    ) -> tuple[dict[str, Any] | None, dict[str, int] | None]:
-        """Try to refute ``literals``; return (certificate, closure-values).
+        self, literals: tuple[Lit, ...], depth: int, extend: bool = False
+    ) -> tuple[dict[str, Any] | None, tuple[Lit, ...] | None]:
+        """Try to refute ``literals``; return (certificate, open context).
 
-        On success the certificate is a pure chain/split proof node; on
-        failure the conflict-free closure values are returned for
-        consequence intersection by the caller.
+        The refutation state holds the closure of the context being split:
+        with ``extend`` it already holds the closure of ``literals[:-1]``
+        and only the last literal is added; the caller undoes it.  On
+        success the certificate is a pure chain/split proof node; on failure
+        the returned context's closure — the state left for the caller — is
+        what the caller intersects across branches.
         """
         self.work["refutes"] += 1
-        res = self._closure(literals, True)
-        if res.conflict is not None:
-            node = self._chain_node(res)
-            return (node, None) if node is not None else (None, None)
+        self.work["closures"] += 1
+        k = self._state
+        if extend:
+            ok = k.extend(k.ids(literals[-1:]), self._learned)
+        else:
+            ok = k.closure(k.ids(literals), self._constants, self._learned)
+        if not ok:
+            res = self._replay(self._constants, k.ids(literals), self._learned)
+            return self._chain_node(res), None
         if depth <= 0 or not self._budget_left():
-            return None, res.values
+            return None, literals
         context = list(literals)
         plan: list[str] = []
-        cur = res
-        for x in self._candidates(res.values):
+        for x in self._candidates():
             if not self._budget_left():
                 break
             self.work["splits"] += 1
-            p0, v0 = self._refute((*context, (x, 0)), depth - 1)
-            p1, v1 = self._refute((*context, (x, 1)), depth - 1)
-            if p0 is not None and p1 is not None:
+            proofs = []
+            opened = []  # (open context, what its closure adds to ours)
+            for b in (0, 1):
+                mark = k.mark()
+                proof, open_context = self._refute((*context, (x, b)), depth - 1, True)
+                proofs.append(proof)
+                if proof is None:
+                    opened.append((open_context, k.assigned(mark)))
+                k.undo(mark)
+            if None not in proofs:
                 if plan:
                     return self._nest(literals, (*plan, x)), None
-                return {"split": x, "cases": [p0, p1]}, None
-            branch_values = [
-                v for p, v in ((p0, v0), (p1, v1)) if p is None
-            ]
-            if not branch_values or any(v is None for v in branch_values):
-                continue
-            if len(branch_values) == 1:
-                common = dict(branch_values[0] or {})
-            else:
-                first, second = branch_values[0] or {}, branch_values[1] or {}
-                common = {n: v for n, v in first.items() if second.get(n) == v}
-            new = [
-                (n, v) for n, v in common.items() if cur.values.get(n) != v
-            ]
-            if not new:
+                return {"split": x, "cases": proofs}, None
+            if any(c is None for c, _ in opened):
+                continue  # refuted, but the certificate failed
+            # Consequence intersection: what every open branch adds.
+            common = opened[0][1]
+            for _, grown in opened[1:]:
+                common = {n: v for n, v in common.items() if grown.get(n) == v}
+            if not common:
                 continue
             self.work["intersections"] += 1
+            first = self._ordered(opened[0][0])  # type: ignore[arg-type]
+            new = [lit for lit in first if common.get(lit[0]) == lit[1]]
             context.extend(new)
             plan.append(x)
-            cur = self._closure(tuple(context), True)
-            if cur.conflict is not None:
+            self.work["closures"] += 1
+            if not k.extend(k.ids(new), self._learned):
                 return self._nest(literals, tuple(plan)), None
-        return None, cur.values if cur.conflict is None else None
+        return None, tuple(context)
 
     def _nest(
         self, base: tuple[Lit, ...], plan: tuple[str, ...]
@@ -690,9 +663,15 @@ class RedundancyProver:
             result.methods[fault] = method
             result.certificates.append(cert)
             result.by_method[method] = result.by_method.get(method, 0) + 1
+        self.work["steps"] += self._state.visits + self._scratch.visits
+        self._state.visits = self._scratch.visits = 0
         result.work = dict(self.work)
         result.work["engine_closures"] = self.engine.stats["closures"]
         result.work["engine_steps"] = self.engine.stats["steps"]
+        obs.inc("prover.closures", self.work["closures"])
+        obs.inc("prover.gate_visits", self.work["steps"])
+        obs.inc("prover.splits", self.work["splits"])
+        obs.inc("prover.replays", self.work["replays"])
         return result
 
 

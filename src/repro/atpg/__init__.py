@@ -1,4 +1,4 @@
-"""Test generation substrate: PRPG, random ATPG, PODEM, compaction."""
+"""Test generation substrate: PRPG, random ATPG, PODEM, bridge ATPG."""
 
 from repro.atpg.bridge_atpg import (
     BridgeAtpgResult,
@@ -6,7 +6,6 @@ from repro.atpg.bridge_atpg import (
     build_bridge_miter,
     generate_bridge_tests,
 )
-from repro.atpg.compaction import compact_test_set
 from repro.atpg.patterns import Lfsr, TestSet, random_patterns
 from repro.atpg.podem import (
     AtpgOutcome,
@@ -14,7 +13,6 @@ from repro.atpg.podem import (
     DeterministicAtpgResult,
     PodemAtpg,
     generate_deterministic_tests,
-    scoap_controllability,
 )
 from repro.atpg.random_atpg import RandomAtpgResult, generate_random_tests
 
@@ -29,10 +27,8 @@ __all__ = [
     "RandomAtpgResult",
     "TestSet",
     "build_bridge_miter",
-    "compact_test_set",
     "generate_bridge_tests",
     "generate_deterministic_tests",
     "generate_random_tests",
     "random_patterns",
-    "scoap_controllability",
 ]

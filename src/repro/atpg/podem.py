@@ -14,14 +14,14 @@ with fault dropping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import Collection
 
 from repro import obs
+from repro.analysis.kernel import X, ImplicationKernel
+from repro.analysis.prover import LearnedMap
 from repro.analysis.scoap import ScoapMeasures, compute_scoap
 from repro.atpg.patterns import TestSet
-from repro.circuit.levelize import levelize
-from repro.circuit.library import GateType
-from repro.circuit.netlist import Circuit, Gate
+from repro.circuit.netlist import Circuit
 from repro.obs.events import ProgressEvent
 from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import FaultSite, StuckAtFault
@@ -32,64 +32,7 @@ __all__ = [
     "AtpgOutcome",
     "DeterministicAtpgResult",
     "generate_deterministic_tests",
-    "scoap_controllability",
 ]
-
-#: Three-valued signal levels; X is "unassigned / unknown".
-ZERO, ONE, X = 0, 1, 2
-
-#: Learned implications, as produced by ``repro.analysis.prover.static_learning``:
-#: antecedent ``(net, value)`` -> consequent literals, each a tautology of the
-#: fault-free circuit.
-LearnedImplications = Mapping[tuple[str, int], tuple[tuple[str, int], ...]]
-
-
-def _eval3(gate_type: GateType, values: list[int]) -> int:
-    """Three-valued gate evaluation over {0, 1, X}."""
-    if gate_type in (GateType.AND, GateType.NAND):
-        if any(v == ZERO for v in values):
-            core = ZERO
-        elif any(v == X for v in values):
-            core = X
-        else:
-            core = ONE
-        return _inv(core) if gate_type is GateType.NAND else core
-    if gate_type in (GateType.OR, GateType.NOR):
-        if any(v == ONE for v in values):
-            core = ONE
-        elif any(v == X for v in values):
-            core = X
-        else:
-            core = ZERO
-        return _inv(core) if gate_type is GateType.NOR else core
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        if any(v == X for v in values):
-            return X
-        core = 0
-        for v in values:
-            core ^= v
-        return _inv(core) if gate_type is GateType.XNOR else core
-    if gate_type is GateType.NOT:
-        return _inv(values[0])
-    if gate_type is GateType.BUF:
-        return values[0]
-    raise ValueError(f"unknown gate type {gate_type!r}")
-
-
-def _inv(value: int) -> int:
-    return X if value == X else 1 - value
-
-
-def scoap_controllability(circuit: Circuit) -> dict[str, tuple[int, int]]:
-    """SCOAP combinational controllability (CC0, CC1) per net.
-
-    Thin wrapper over :func:`repro.analysis.scoap.compute_scoap` kept for the
-    backtrace's ``{net: (cc0, cc1)}`` view; the full measures (including
-    observability) live in the analysis subsystem.
-    """
-    measures = compute_scoap(circuit)
-    return {net: (measures.cc0[net], measures.cc1[net]) for net in measures.cc0}
-
 
 class AtpgStatus:
     """Per-fault ATPG outcome labels."""
@@ -109,191 +52,84 @@ class AtpgOutcome:
 
 
 class PodemAtpg:
-    """PODEM test generator bound to one circuit."""
+    """PODEM test generator bound to one circuit.
+
+    The search runs on the shared implication kernel
+    (:mod:`repro.analysis.kernel`): good and faulty channels are simulated
+    event by event, a decision pushes a trail mark, and a backtrack undoes
+    to it.  The D-frontier and X-path checks read the same value array,
+    restricted to the fault effect's output cone; learned implications pin
+    good values in a third channel of it.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
         backtrack_limit: int = 2000,
         scoap: ScoapMeasures | None = None,
-        learned: LearnedImplications | None = None,
+        learned: LearnedMap | None = None,
     ):
         circuit.validate()
         self.circuit = circuit
-        self.order = levelize(circuit)
-        self.driver = {g.output: g for g in circuit.gates}
-        self.fanout = circuit.fanout_map()
+        self.kernel = ImplicationKernel(circuit)
         if scoap is None:
             scoap = compute_scoap(circuit)
-        self.cc = {
-            net: (scoap.cc0[net], scoap.cc1[net]) for net in scoap.cc0
-        }
+        self.cc = [(scoap.cc0[n], scoap.cc1[n]) for n in self.kernel.names]
         self.backtrack_limit = backtrack_limit
-        self.learned: dict[tuple[str, int], tuple[tuple[str, int], ...]] = (
-            dict(learned) if learned else {}
-        )
+        #: Whether learned implications pin good values (a third channel).
+        self.learned = bool(learned)
+        if learned:
+            self.kernel.learned = self.kernel.compile_learned(learned)
         #: Cumulative counts over all :meth:`generate` calls: decision points
         #: failed early because learned implications pin the fault site to its
         #: stuck value, and D-frontier gates pruned because a learned
         #: implication pins a side input to the controlling value.
         self.learned_conflicts = 0
         self.learned_prunes = 0
-        self._pi_index = {pi: i for i, pi in enumerate(circuit.primary_inputs)}
-        self._gate_by_name = {g.name: g for g in circuit.gates}
-        self._support_cache: dict[str, tuple[str, ...]] = {}
-        self._cone_cache: dict[str, frozenset[str]] = {}
-
-    # ------------------------------------------------------------------
-    # Two-channel implication
-    # ------------------------------------------------------------------
-    def _imply(
-        self, fault: StuckAtFault, assignment: dict[str, int]
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """Simulate good and faulty channels from a partial PI assignment."""
-        good: dict[str, int] = {}
-        faulty: dict[str, int] = {}
-        for pi in self.circuit.primary_inputs:
-            value = assignment.get(pi, X)
-            good[pi] = value
-            faulty[pi] = value
-        if fault.site is FaultSite.NET and fault.net in faulty:
-            faulty[fault.net] = fault.value
-
-        for gate in self.order:
-            g_ops = [good[n] for n in gate.inputs]
-            f_ops = []
-            for pin, net in enumerate(gate.inputs):
-                if (
-                    fault.site is FaultSite.GATE_INPUT
-                    and gate.name == fault.gate
-                    and pin == fault.pin
-                ):
-                    f_ops.append(fault.value)
-                else:
-                    f_ops.append(faulty[net])
-            good[gate.output] = _eval3(gate.gate_type, g_ops)
-            out_f = _eval3(gate.gate_type, f_ops)
-            if fault.site is FaultSite.NET and gate.output == fault.net:
-                out_f = fault.value
-            faulty[gate.output] = out_f
-        return good, faulty
+        #: Primary-input assignments made by the search, flips included.
+        self.decisions = 0
+        self._outputs = frozenset(self.kernel.outputs)
+        self._support_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Search support
     # ------------------------------------------------------------------
-    def _test_found(self, good: dict[str, int], faulty: dict[str, int]) -> bool:
-        return any(
-            good[po] != X and faulty[po] != X and good[po] != faulty[po]
-            for po in self.circuit.primary_outputs
-        )
-
     def _d_frontier(
-        self,
-        fault: StuckAtFault,
-        good: dict[str, int],
-        faulty: dict[str, int],
-    ) -> list[Gate]:
+        self, gates: tuple[int, ...], cone: frozenset[int], pin_gate: int,
+        site: int, value: int,
+    ) -> list[int]:
+        k = self.kernel
+        val, n, gins, gout = k.val, k.n, k.gins, k.gout
         frontier = []
-        for gate in self.order:
-            out_g, out_f = good[gate.output], faulty[gate.output]
-            if out_g != X and out_f != X:
+        for g in gates:
+            o = gout[g]
+            if val[o] != X and val[n + o] != X:
                 continue
-            has_d = any(
-                good[n] != X
-                and faulty[n] != X
-                and good[n] != faulty[n]
-                for n in gate.inputs
-            )
+            # A D on an input: good and faulty both known and different.
             # For a pin fault the discrepancy originates *inside* the faulted
             # gate (the net itself is healthy), so the gate joins the frontier
             # as soon as the pin's net carries the activating value.
-            if (
-                not has_d
-                and fault.site is FaultSite.GATE_INPUT
-                and gate.name == fault.gate
-                and good[fault.net] == 1 - fault.value
-            ):
-                has_d = True
-            if has_d:
-                frontier.append(gate)
+            if any(
+                i in cone and X != val[i] != val[n + i] != X for i in gins[g]
+            ) or (g == pin_gate and val[site] == 1 - value):
+                frontier.append(g)
         return frontier
 
-    def _x_path_exists(
-        self,
-        frontier: list[Gate],
-        good: dict[str, int],
-        faulty: dict[str, int],
-    ) -> bool:
+    def _x_path_exists(self, frontier: list[int]) -> bool:
         """True when some D-frontier output can still reach a PO through X nets."""
-        po_set = set(self.circuit.primary_outputs)
-        seen: set[str] = set()
-        stack = [g.output for g in frontier]
-        while stack:
-            net = stack.pop()
-            if net in seen:
-                continue
-            seen.add(net)
-            if net in po_set:
-                return True
-            for reader in self.fanout.get(net, []):
-                out = reader.output
-                if out in seen:
-                    continue
-                if good[out] == X or faulty[out] == X:
-                    stack.append(out)
-        return False
+        k = self.kernel
+        val, n, gout, fanout = k.val, k.n, k.gout, k.fanout
 
-    # ------------------------------------------------------------------
-    # Learned-implication support
-    # ------------------------------------------------------------------
-    def _learned_pins(self, good: dict[str, int]) -> dict[str, int]:
-        """Good-channel values pinned by closing under learned implications.
+        def x_readers(net: int) -> list[int]:
+            outs = [gout[r] for r in fanout[net]]
+            return [o for o in outs if val[o] == X or val[n + o] == X]
 
-        Every learned implication is a tautology of the fault-free circuit,
-        so if ``net=v`` is determined in the good channel, every completion
-        of the current partial assignment also satisfies the implication's
-        consequents — and everything those consequents force through the
-        gates.  The returned map extends ``good`` to a fixpoint of learned
-        consequents and three-valued forward evaluation; entries that are X
-        in ``good`` but definite here are values the current assignment
-        forces in *every* completion, which the search can fail against.
-        """
-        pins = dict(good)
-        stack = [(n, v) for n, v in pins.items() if v != X]
-        while stack:
-            net, value = stack.pop()
-            for c_net, c_value in self.learned.get((net, value), ()):
-                if pins.get(c_net, X) == X:
-                    pins[c_net] = c_value
-                    stack.append((c_net, c_value))
-            for gate in self.fanout.get(net, []):
-                if pins[gate.output] != X:
-                    continue
-                out = _eval3(
-                    gate.gate_type, [pins[n] for n in gate.inputs]
-                )
-                if out != X:
-                    pins[gate.output] = out
-                    stack.append((gate.output, out))
-        return pins
-
-    def _effect_cone(self, source: str) -> frozenset[str]:
-        """Nets downstream of the fault effect's origin (inclusive)."""
-        cached = self._cone_cache.get(source)
-        if cached is None:
-            from repro.circuit.levelize import output_cone
-
-            cached = frozenset(output_cone(self.circuit, source))
-            self._cone_cache[source] = cached
-        return cached
+        reached = k.reach((gout[g] for g in frontier), x_readers)
+        return not self._outputs.isdisjoint(reached)
 
     def _prune_frontier(
-        self,
-        frontier: list[Gate],
-        good: dict[str, int],
-        pins: dict[str, int],
-        cone: frozenset[str],
-    ) -> list[Gate]:
+        self, frontier: list[int], cone: frozenset[int]
+    ) -> list[int]:
         """Drop frontier gates a learned pin provably blocks.
 
         A gate cannot propagate the effect when a side input outside the
@@ -301,78 +137,76 @@ class PodemAtpg:
         value) is still X but pinned to the gate's controlling value: every
         completion controls the gate identically in both channels.
         """
+        k = self.kernel
+        val, pinned = k.val, 2 * k.n
         kept = []
-        for gate in frontier:
-            controlling = _controlling_value(gate.gate_type)
-            blocked = controlling is not None and any(
-                good[n] == X and n not in cone and pins.get(n) == controlling
-                for n in gate.inputs
+        for g in frontier:
+            code = k.gtype[g]
+            blocked = code < 4 and any(
+                val[i] == X and i not in cone and val[pinned + i] == code >> 1
+                for i in k.gins[g]
             )
             if blocked:
                 self.learned_prunes += 1
             else:
-                kept.append(gate)
+                kept.append(g)
         return kept
 
     def _objective(
-        self,
-        fault: StuckAtFault,
-        good: dict[str, int],
-        faulty: dict[str, int],
-        frontier: list[Gate] | None = None,
-    ) -> tuple[str, int] | None:
-        site_value = good[fault.net]
-        if site_value == X:
-            return fault.net, 1 - fault.value
-        if frontier is None:
-            frontier = self._d_frontier(fault, good, faulty)
+        self, site: int, value: int, frontier: list[int]
+    ) -> tuple[int, int] | None:
+        k = self.kernel
+        if k.val[site] == X:
+            return site, 1 - value
         if not frontier:
             return None
-        frontier.sort(key=lambda g: self.cc[g.output][0] + self.cc[g.output][1])
-        for gate in frontier:
-            noncontrolling = _noncontrolling_value(gate.gate_type)
-            for net in gate.inputs:
-                if good[net] == X:
-                    return net, noncontrolling if noncontrolling is not None else ZERO
+        cc = self.cc
+        frontier.sort(key=lambda g: sum(cc[k.gout[g]]))
+        for g in frontier:
+            code = k.gtype[g]
+            # AND/NAND want 1, OR/NOR want 0; the XOR family and single-input
+            # gates have no controlling value and take 0.
+            target = (code >> 1) ^ 1 if code < 4 else 0
+            for i in k.gins[g]:
+                if k.val[i] == X:
+                    return i, target
         return None
 
-    def _backtrace(
-        self, net: str, value: int, good: dict[str, int]
-    ) -> tuple[str, int] | None:
+    def _backtrace(self, net: int, value: int) -> tuple[int, int] | None:
         """Walk the objective back to an unassigned primary input."""
-        for _ in range(10 * (len(self.circuit.gates) + 1)):
-            gate = self.driver.get(net)
-            if gate is None:  # primary input
-                return (net, value) if good[net] == X else None
-            gt = gate.gate_type
-            inverted = gt in (GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR)
-            core = value ^ 1 if inverted else value
-            x_inputs = [n for n in gate.inputs if good[n] == X]
+        k = self.kernel
+        val, cc, n_pi = k.val, self.cc, k.n_pi
+        for _ in range(10 * (len(k.gtype) + 1)):
+            if net < n_pi:  # primary input
+                return (net, value) if val[net] == X else None
+            g = net - n_pi
+            code = k.gtype[g]
+            core = value ^ (code & 1)
+            x_inputs = [i for i in k.gins[g] if val[i] == X]
             if not x_inputs:
                 return None
-            if gt in (GateType.NOT, GateType.BUF):
-                net, value = gate.inputs[0], core
+            if code >= 6:  # BUF / NOT
+                net, value = x_inputs[0], core
                 continue
-            controlling = ZERO if gt in (GateType.AND, GateType.NAND) else ONE
-            if gt in (GateType.XOR, GateType.XNOR):
+            if code >= 4:
                 # Pick the easiest X input; target parity of core against the
                 # definite inputs, defaulting to core when others are X.
-                definite = [good[n] for n in gate.inputs if good[n] != X]
                 parity = 0
-                for v in definite:
-                    parity ^= v
+                for i in k.gins[g]:
+                    if val[i] != X:
+                        parity ^= val[i]
                 target = core ^ parity if len(x_inputs) == 1 else core
-                chosen = min(x_inputs, key=lambda n: min(self.cc[n]))
-                net, value = chosen, target
+                net, value = min(x_inputs, key=lambda i: min(cc[i])), target
                 continue
+            controlling = code >> 1
             if core == controlling:
                 # One input at the controlling value suffices: easiest first.
-                chosen = min(x_inputs, key=lambda n: self.cc[n][controlling])
-                net, value = chosen, controlling
+                net = min(x_inputs, key=lambda i: cc[i][controlling])
+                value = controlling
             else:
                 # All inputs must be non-controlling: hardest first.
-                chosen = max(x_inputs, key=lambda n: self.cc[n][1 - controlling])
-                net, value = chosen, 1 - controlling
+                net = max(x_inputs, key=lambda i: cc[i][1 - controlling])
+                value = 1 - controlling
         return None
 
     # ------------------------------------------------------------------
@@ -396,64 +230,66 @@ class PodemAtpg:
             ``TESTED`` with a full vector, ``REDUNDANT`` when the search space
             is exhausted, or ``ABORTED`` at the backtrack limit.
         """
-        assignment: dict[str, int] = {}
-        decisions: list[tuple[str, int, bool]] = []  # (pi, value, tried_both)
-        backtracks = 0
-        effect_source = fault.net
+        k = self.kernel
+        val, n = k.val, k.n
+        site, value = k.index[fault.net], fault.value
+        pin_gate = -1
         if fault.site is FaultSite.GATE_INPUT and fault.gate is not None:
-            effect_source = self._gate_by_name[fault.gate].output
-        cone = (
-            self._effect_cone(effect_source) if self.learned else frozenset()
-        )
+            pin_gate = k.gate_index[fault.gate]
+        cone, gates = k.load_fault(site, value, pin_gate, fault.pin)
+        outputs = [po for po in k.outputs if po in cone]
+        pinned = 2 * n
+        # (pi, value, tried_both, trail mark before the assignment)
+        decisions: list[tuple[int, int, bool, int]] = []
+        backtracks = 0
 
         while True:
-            good, faulty = self._imply(fault, assignment)
-            if self._test_found(good, faulty):
-                return AtpgOutcome(
-                    AtpgStatus.TESTED,
-                    self._complete_pattern(assignment, fill),
-                    backtracks,
-                )
-            pins = self._learned_pins(good) if self.learned else {}
+            if any(
+                val[po] != X and val[n + po] != X and val[po] != val[n + po]
+                for po in outputs
+            ):
+                # Unassigned inputs take ``fill`` (None leaves them 0).
+                pattern = [(fill or 0) if v == X else v for v in val[: k.n_pi]]
+                return AtpgOutcome(AtpgStatus.TESTED, pattern, backtracks)
 
-            failed = False
-            frontier: list[Gate] | None = None
-            site_value = good[fault.net]
-            if site_value != X and site_value == fault.value:
+            frontier: list[int] = []
+            site_value = val[site]
+            if site_value == value:
                 failed = True  # activation impossible under this assignment
-            elif site_value == X and pins.get(fault.net) == fault.value:
+            elif site_value == X and self.learned and val[pinned + site] == value:
                 # Learned implications pin the site to its stuck value in
                 # every completion of this assignment: activation impossible.
                 self.learned_conflicts += 1
                 failed = True
             else:
-                frontier = self._d_frontier(fault, good, faulty)
-                if pins and frontier:
-                    frontier = self._prune_frontier(frontier, good, pins, cone)
-                activated = site_value != X
-                if activated and not frontier:
-                    failed = True
-                elif frontier and not self._x_path_exists(frontier, good, faulty):
-                    failed = True
+                frontier = self._d_frontier(gates, cone, pin_gate, site, value)
+                if self.learned and frontier:
+                    frontier = self._prune_frontier(frontier, cone)
+                failed = (
+                    not self._x_path_exists(frontier)
+                    if frontier
+                    else site_value != X
+                )
 
             if not failed:
                 step = None
-                objective = self._objective(fault, good, faulty, frontier)
+                objective = self._objective(site, value, frontier)
                 if objective is not None:
-                    step = self._backtrace(objective[0], objective[1], good)
+                    step = self._backtrace(*objective)
                 if step is None:
                     # Heuristic dead-end (e.g. the frontier's side inputs are
                     # X only in the faulty channel).  That is NOT a proof of
                     # failure — fall back to deciding any unassigned primary
                     # input of the fault's support cone, keeping REDUNDANT
                     # verdicts sound.
-                    step = self._fallback_decision(fault, assignment)
+                    step = self._fallback_decision(site)
                 if step is None:
                     failed = True  # support exhausted: genuinely dead
                 else:
-                    pi, value = step
-                    assignment[pi] = value
-                    decisions.append((pi, value, False))
+                    pi, pi_value = step
+                    decisions.append((pi, pi_value, False, k.mark()))
+                    self.decisions += 1
+                    k.decide(pi, pi_value)
                     continue
 
             # Backtrack: flip the most recent single-tried decision.
@@ -461,67 +297,29 @@ class PodemAtpg:
             if backtracks > self.backtrack_limit:
                 return AtpgOutcome(AtpgStatus.ABORTED, None, backtracks)
             while decisions:
-                pi, value, tried_both = decisions.pop()
+                pi, pi_value, tried_both, mark = decisions.pop()
+                k.undo(mark)
                 if tried_both:
-                    del assignment[pi]
                     continue
-                assignment[pi] = 1 - value
-                decisions.append((pi, 1 - value, True))
+                decisions.append((pi, 1 - pi_value, True, mark))
+                self.decisions += 1
+                k.decide(pi, 1 - pi_value)
                 break
             else:
                 return AtpgOutcome(AtpgStatus.REDUNDANT, None, backtracks)
 
-    def _fallback_decision(
-        self, fault: StuckAtFault, assignment: dict[str, int]
-    ) -> tuple[str, int] | None:
+    def _fallback_decision(self, site: int) -> tuple[int, int] | None:
         """Next unassigned PI in the fault's support cone, or None.
 
         The support cone — every PI that can influence the fault's activation
-        or observation — is the sound decision universe: exhausting it proves
-        redundancy.
+        or observation, i.e. feeding any net of the site's output cone — is
+        the sound decision universe: exhausting it proves redundancy.
         """
-        for pi in self._support(fault.net):
-            if pi not in assignment:
-                return pi, ZERO
-        return None
-
-    def _support(self, net: str) -> tuple[str, ...]:
-        cached = self._support_cache.get(net)
-        if cached is not None:
-            return cached
-        from repro.circuit.levelize import input_cone, output_cone
-
-        pis = set(self.circuit.primary_inputs)
-        support: set[str] = set()
-        for downstream in output_cone(self.circuit, net):
-            support.update(input_cone(self.circuit, downstream) & pis)
-        ordered = tuple(
-            pi for pi in self.circuit.primary_inputs if pi in support
-        )
-        self._support_cache[net] = ordered
-        return ordered
-
-    def _complete_pattern(
-        self, assignment: dict[str, int], fill: int | None
-    ) -> list[int]:
-        fill_value = 0 if fill is None else fill
-        return [
-            assignment.get(pi, fill_value)
-            for pi in self.circuit.primary_inputs
-        ]
-
-
-def _noncontrolling_value(gate_type: GateType) -> int | None:
-    if gate_type in (GateType.AND, GateType.NAND):
-        return ONE
-    if gate_type in (GateType.OR, GateType.NOR):
-        return ZERO
-    return None  # XOR family and single-input gates have no controlling value
-
-
-def _controlling_value(gate_type: GateType) -> int | None:
-    noncontrolling = _noncontrolling_value(gate_type)
-    return None if noncontrolling is None else 1 - noncontrolling
+        k = self.kernel
+        support = self._support_cache.get(site)
+        if support is None:
+            support = self._support_cache[site] = k.support(k.cone(site)[0])
+        return next(((pi, 0) for pi in support if k.val[pi] == X), None)
 
 
 @dataclass
@@ -537,12 +335,6 @@ class DeterministicAtpgResult:
     learned_prunes: int = 0
     learned_conflicts: int = 0
 
-    @property
-    def coverage_of_targeted(self) -> float:
-        """Detected fraction of the targeted (non-redundant) faults."""
-        testable = len(self.tested) + len(self.aborted)
-        return 1.0 if testable == 0 else len(self.tested) / testable
-
 
 def generate_deterministic_tests(
     circuit: Circuit,
@@ -551,7 +343,7 @@ def generate_deterministic_tests(
     fill: int = 0,
     untestable: Collection[StuckAtFault] | None = None,
     scoap: ScoapMeasures | None = None,
-    learned: LearnedImplications | None = None,
+    learned: LearnedMap | None = None,
 ) -> DeterministicAtpgResult:
     """Run PODEM over ``faults`` with fault dropping.
 
@@ -629,6 +421,8 @@ def generate_deterministic_tests(
                 remaining = [f for f in remaining if f not in dropped]
         result.learned_prunes = atpg.learned_prunes
         result.learned_conflicts = atpg.learned_conflicts
+        obs.inc("podem.decisions", atpg.decisions)
+        obs.inc("podem.gate_evals", atpg.kernel.evals)
         if atpg.learned:
             obs.inc("podem.learned_prunes", atpg.learned_prunes)
             obs.inc("podem.learned_conflicts", atpg.learned_conflicts)

@@ -374,11 +374,11 @@ def _run_pipeline(
         # denominator before any vector is generated — the same "redundant
         # faults can be neglected" assumption the paper makes, applied where
         # redundancy is provable without search.  SCOAP measures are reused
-        # by the PODEM backtrace.  It is not cheap: 9.4 s of a 35.4 s c432
-        # run, 26.5 % (`python -m repro c432 --attribution`, 2-core Linux
-        # VM; 23.6 % in an earlier profile), almost all of it in the
-        # redundancy prover, so it is a checkpointed stage: a resumed run
-        # restores it instead of proving again.
+        # by the PODEM backtrace.  It costs 0.73 s of a 5.3 s c432 run,
+        # 13.6 % (`python -m repro c432 --profile --attribution`, seed 1234,
+        # 2-core Linux container), most of it in the redundancy prover; it
+        # is a checkpointed stage, so a resumed run restores it instead of
+        # proving again.
         analysis: AnalysisResult | None = None
         static_untestable: list[StuckAtFault] = []
         screened = collapsed

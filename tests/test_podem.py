@@ -1,13 +1,13 @@
 """Unit tests for PODEM deterministic ATPG."""
 
 
+from repro.analysis.scoap import compute_scoap
 from repro.circuit import Circuit, GateType
 from repro.simulation import FaultSimulator, StuckAtFault, collapse_faults
 from repro.atpg import (
     AtpgStatus,
     PodemAtpg,
     generate_deterministic_tests,
-    scoap_controllability,
 )
 
 
@@ -88,11 +88,11 @@ def test_deterministic_flow_drops_faults(c17_circuit):
 
 
 def test_scoap_controllability_basics(c17_circuit):
-    cc = scoap_controllability(c17_circuit)
+    scoap = compute_scoap(c17_circuit)
     for pi in c17_circuit.primary_inputs:
-        assert cc[pi] == (1, 1)
+        assert (scoap.cc0[pi], scoap.cc1[pi]) == (1, 1)
     for gate in c17_circuit.gates:
-        cc0, cc1 = cc[gate.output]
+        cc0, cc1 = scoap.cc0[gate.output], scoap.cc1[gate.output]
         assert cc0 >= 2 and cc1 >= 2  # strictly deeper than a PI
 
 
@@ -102,7 +102,8 @@ def test_scoap_nand_asymmetry():
         ckt.add_input(name)
     ckt.add_gate(GateType.NAND, list("abcd"), "z")
     ckt.add_output("z")
-    cc0, cc1 = scoap_controllability(ckt)["z"]
+    scoap = compute_scoap(ckt)
+    cc0, cc1 = scoap.cc0["z"], scoap.cc1["z"]
     # Output 0 needs ALL inputs high (expensive); output 1 needs one low.
     assert cc0 > cc1
 
