@@ -22,6 +22,9 @@ same faults, same order, same ``float.hex()`` weights, same origins.
 Results are written to ``BENCH_extraction.json`` at the repo root.  Quick
 mode — ``EXTRACTION_BENCH_QUICK=1`` — runs c432; full mode adds c880 and
 also asserts that the fast extraction is faster.
+Each circuit's ``before`` holds the fast implementation's seconds from
+the record the run replaces, so the committed file shows the last change's
+before and after side by side.
 
 Run one measurement by hand with
 ``PYTHONPATH=src:tests python benchmarks/test_perf_extraction.py fast c432``.
@@ -97,6 +100,15 @@ def measure(implementation: str, circuit: str) -> dict:
     }
 
 
+def _previous_seconds() -> dict:
+    """Per circuit, the fast implementation's seconds in the current record."""
+    try:
+        circuits = json.loads(BENCH_PATH.read_text())["circuits"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {c: r["fast"]["seconds"] for c, r in circuits.items() if "fast" in r}
+
+
 def _measure_in_child(implementation: str, circuit: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -115,6 +127,7 @@ def _measure_in_child(implementation: str, circuit: str) -> dict:
 
 def test_extraction_fast_paths_are_bit_identical_and_do_less_work():
     record: dict = {"mode": "quick" if QUICK else "full", "circuits": {}}
+    before = _previous_seconds()
     for circuit in CIRCUITS:
         oracle = _measure_in_child("oracle", circuit)
         fast = _measure_in_child("fast", circuit)
@@ -129,6 +142,7 @@ def test_extraction_fast_paths_are_bit_identical_and_do_less_work():
         record["circuits"][circuit] = {
             "oracle": oracle,
             "fast": fast,
+            "before": before.get(circuit),
             "speedup": {
                 name: round(oracle["seconds"][name] / fast["seconds"][name], 2)
                 for name in ("bridges", "opens", "total")

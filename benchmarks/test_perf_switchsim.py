@@ -31,6 +31,9 @@ every fault, and the same ``float.hex()`` peak currents.
 Results are written to ``BENCH_switchsim.json`` at the repo root.  Quick
 mode — ``SWITCHSIM_BENCH_QUICK=1`` — runs c432; full mode adds c880 and
 also asserts that the lane engine is faster.
+Each circuit's ``before`` holds the new implementation's seconds from
+the record the run replaces, so the committed file shows the last change's
+before and after side by side.
 
 Run one measurement by hand with
 ``PYTHONPATH=src:tests python benchmarks/test_perf_switchsim.py new <inputs.pkl>``,
@@ -134,6 +137,15 @@ def _inputs(circuit: str, path: Path) -> None:
     path.write_bytes(pickle.dumps(payload))
 
 
+def _previous_seconds() -> dict:
+    """Per circuit, the new implementation's seconds in the current record."""
+    try:
+        circuits = json.loads(BENCH_PATH.read_text())["circuits"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {c: r["new"]["seconds"] for c, r in circuits.items() if "new" in r}
+
+
 def _measure_in_child(implementation: str, inputs: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -152,6 +164,7 @@ def _measure_in_child(implementation: str, inputs: Path) -> dict:
 
 def test_switchsim_lanes_are_bit_identical_to_the_oracle(tmp_path):
     record: dict = {"mode": "quick" if QUICK else "full", "seed": SEED, "circuits": {}}
+    before = _previous_seconds()
     for circuit in CIRCUITS:
         inputs = tmp_path / f"{circuit}.pkl"
         _inputs(circuit, inputs)
@@ -167,6 +180,7 @@ def test_switchsim_lanes_are_bit_identical_to_the_oracle(tmp_path):
         record["circuits"][circuit] = {
             "oracle": oracle,
             "new": new,
+            "before": before.get(circuit),
             "speedup": {
                 name: round(oracle["seconds"][name] / new["seconds"][name], 2)
                 for name in oracle["seconds"]

@@ -158,9 +158,6 @@ class CertificateChecker:
     # ------------------------------------------------------------------
     # Proof verification
     # ------------------------------------------------------------------
-    def _fail(self, msg: str) -> str:
-        return msg
-
     def _verify_step(
         self,
         step: dict[str, Any],

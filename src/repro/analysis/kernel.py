@@ -118,9 +118,11 @@ class ImplicationKernel:
         self.learned: list[tuple[tuple[int, int], ...]] | None = None
 
     def fork(self) -> "ImplicationKernel":
-        """A kernel sharing this one's compiled arrays, with an empty state."""
+        """A kernel sharing this one's compiled arrays, with an empty state
+        and zeroed work counters."""
         other = copy.copy(self)
         other._new_state()
+        other.visits = other.evals = 0
         return other
 
     # ------------------------------------------------------------------

@@ -104,18 +104,28 @@ def static_learning(
         return cached
     if engine is None:
         engine = ImplicationEngine(circuit)
+    # A private memo, not the engine's: warming the engine's unit cache here
+    # would make the prover's later work depend on whether learning ran.
+    memo: dict[Lit, dict[str, int] | None] = {}
+
+    def unit_closure(net: str, value: int) -> dict[str, int] | None:
+        key = (net, value)
+        if key not in memo:
+            memo[key] = engine.closure([key])
+        return memo[key]
+
     acc: dict[Lit, list[Lit]] = {}
     for net in engine.kernel.names:
         if net in engine.constants:
             continue
         for v in (0, 1):
-            closure = engine.unit_closure(net, v)
+            closure = unit_closure(net, v)
             if closure is None:
                 continue
             for b, w in closure.items():
                 if b == net or b in engine.constants:
                     continue
-                back = engine.unit_closure(b, 1 - w)
+                back = unit_closure(b, 1 - w)
                 if back is None:
                     continue  # (b, 1-w) is itself contradictory
                 if back.get(net) == 1 - v:
@@ -231,6 +241,9 @@ class RedundancyProver:
         self.max_candidates = max_candidates
         self.nhash = netlist_hash(self.circuit)
         self.learned = static_learning(self.circuit, self.engine)
+        # Engine work before the prover's own calls: learning's closures run
+        # only when the process-wide learning cache misses.
+        self._engine_base = dict(self.engine.stats)
         self.work: dict[str, int] = {
             "closures": 0,
             "steps": 0,
@@ -666,8 +679,9 @@ class RedundancyProver:
         self.work["steps"] += self._state.visits + self._scratch.visits
         self._state.visits = self._scratch.visits = 0
         result.work = dict(self.work)
-        result.work["engine_closures"] = self.engine.stats["closures"]
-        result.work["engine_steps"] = self.engine.stats["steps"]
+        stats, base = self.engine.stats, self._engine_base
+        result.work["engine_closures"] = stats["closures"] - base["closures"]
+        result.work["engine_steps"] = stats["steps"] - base["steps"]
         obs.inc("prover.closures", self.work["closures"])
         obs.inc("prover.gate_visits", self.work["steps"])
         obs.inc("prover.splits", self.work["splits"])

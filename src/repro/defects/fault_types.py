@@ -164,11 +164,14 @@ class FaultList:
         """Insert or merge ``fault`` by behavioural key."""
         if fault.weight <= 0:
             return
-        existing = self._by_key.get(fault.key())
+        key = fault.key()
+        existing = self._by_key.get(key)
         if existing is None:
-            self._by_key[fault.key()] = fault
-        else:
-            existing.weight += fault.weight
+            self._by_key[key] = fault
+            return
+        existing.weight += fault.weight
+        # One shared mechanism: the merged origin is that same 1-tuple.
+        if len(existing.origin) != 1 or fault.origin != existing.origin:
             merged = set(existing.origin) | set(fault.origin)
             existing.origin = tuple(sorted(merged, key=lambda m: m.value))
 

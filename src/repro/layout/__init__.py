@@ -12,6 +12,7 @@ from repro.layout.cells import (
 from repro.layout.design import LayoutDesign, build_layout
 from repro.layout.drc import SpacingViolation, check_spacing
 from repro.layout.extract import (
+    Connectivity,
     ExtractedTransistor,
     VerificationReport,
     build_connectivity,
@@ -28,6 +29,7 @@ from repro.layout.techmap import MAX_CELL_FANIN, techmap
 __all__ = [
     "CELL_HEIGHT",
     "CellLayout",
+    "Connectivity",
     "DesignRules",
     "ExtractedTransistor",
     "GND",

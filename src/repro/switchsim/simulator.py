@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +82,10 @@ _Injection = tuple[Lane, np.ndarray]
 
 #: Injections staged before their masks are checked and packed together.
 _STAGED_ROWS = 1024
+
+#: Faults planned per batch times vectors: bounds the bridge planner's
+#: per-row arrays.
+_PLAN_ELEMENTS = 1 << 16
 
 #: Index of the lowest set bit of each byte value (0 for 0).
 _LOWEST_BIT = np.array(
@@ -238,7 +242,9 @@ class _InjectionTable:
         """Check and pack the staged injections."""
         if not self._staged:
             return
-        masks = np.stack([mask for _, _, mask in self._staged])
+        masks = np.concatenate([mask for _, _, mask in self._staged]).reshape(
+            len(self._staged), self.n_patterns
+        )
         live = masks.any(axis=1)
         for (group_id, forces, _), alive in zip(self._staged, live.tolist()):
             if alive:
@@ -309,8 +315,9 @@ class SwitchLevelFaultSimulator:
             self.driver_cell[gate.output] = info
         self._combos: dict[str, np.ndarray] = {}
         self._conductances: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._net_forces: dict[tuple[str, int], Lane] = {}
-        self._level_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: Each net's force-to-0 and force-to-1 lanes.
+        self._net_forces: dict[str, tuple[Lane, Lane]] = {}
+        self._rows: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None
 
         self._simulate_good()
 
@@ -424,11 +431,21 @@ class SwitchLevelFaultSimulator:
     ) -> tuple[list[Detection], _InjectionTable]:
         """The three passes: collect injections, simulate sets, resolve."""
         table = _InjectionTable(self.n_patterns)
+        faults = list(faults)
         plans = []
-        for fault in faults:
-            pending = self._plan(fault)
-            ids = tuple(table.add(group) for group in pending.groups)
-            plans.append((pending.finish, pending.args, ids))
+        chunk = max(1, _PLAN_ELEMENTS // max(self.n_patterns, 1))
+        for start in range(0, len(faults), chunk):
+            batch = faults[start : start + chunk]
+            # External-net bridges are planned together, as rows of arrays;
+            # each is emitted in its fault's turn.
+            external = [self._is_external_bridge(fault) for fault in batch]
+            bridges = self._external_bridges(
+                [fault for fault, ext in zip(batch, external) if ext]
+            )
+            for fault, ext in zip(batch, external):
+                pending = next(bridges) if ext else self._plan(fault)
+                ids = tuple(table.add(group) for group in pending.groups)
+                plans.append((pending.finish, pending.args, ids))
         table.flush()
         detect = self.engine.detection_words(table.sets, self.packed, self.n_patterns)
         firsts = table.firsts(detect)
@@ -458,22 +475,19 @@ class SwitchLevelFaultSimulator:
         indices = np.flatnonzero(mask)
         return int(indices[0]) + 1 if indices.size else None
 
-    def _net_force(self, net: str, value: int) -> Lane:
-        forces = self._net_forces.get((net, value))
-        if forces is None:
-            forces = self._net_forces[(net, value)] = (StuckAtFault(net, value),)
-        return forces
-
     def _flip_injections(
         self, net: str, flip0: np.ndarray, flip1: np.ndarray
     ) -> list[_Injection]:
         """Masked single-net injections for force-to-0/force-to-1 vectors."""
         if net in _SUPPLIES:
             return []
-        return [
-            (self._net_force(net, 0), flip0),
-            (self._net_force(net, 1), flip1),
-        ]
+        forces = self._net_forces.get(net)
+        if forces is None:
+            forces = self._net_forces[net] = (
+                (StuckAtFault(net, 0),),
+                (StuckAtFault(net, 1),),
+            )
+        return [(forces[0], flip0), (forces[1], flip1)]
 
     def _x_injections(
         self, net: str, x_mask: np.ndarray, values: np.ndarray
@@ -496,43 +510,82 @@ class SwitchLevelFaultSimulator:
             return _fixed(Detection())
         if "#" in a or "#" in b:
             return self._bridge_internal(fault)
+        return next(self._external_bridges([fault]))
 
-        high_a, low_a = self._levels(a)
-        high_b, low_b = self._levels(b)
-        a_high = high_a & low_b  # a = 1 fights b = 0
-        b_high = low_a & high_b  # a = 0 fights b = 1
+    @staticmethod
+    def _is_external_bridge(fault: RealisticFault) -> bool:
+        """A bridge :meth:`_external_bridges` plans: between two external
+        nets, not rail to rail."""
+        return (
+            isinstance(fault, BridgeFault)
+            and "#" not in fault.net_a
+            and "#" not in fault.net_b
+            and {fault.net_a, fault.net_b} != set(_SUPPLIES)
+        )
+
+    def _external_bridges(self, faults: Sequence[BridgeFault]) -> Iterator[_Pending]:
+        """Plan bridges between external nets, one array row per bridge.
+
+        Per vector, the two drivers fight where the nets' good values
+        differ; the bridged node settles at the divider voltage of the two
+        drive strengths, and a side that loses the fight is forced to the
+        winner's value.  Every row's arithmetic is that of a lone bridge.
+        The plans are yielded one at a time, so that each can be consumed
+        before the next one's objects exist.
+        """
+        if not self.n_patterns:
+            for _ in faults:
+                yield _fixed(Detection())
+            return
+        row, high, drive = self._bridge_rows()
+        rows_a = [row[f.net_a] for f in faults]
+        rows_b = [row[f.net_b] for f in faults]
+        high_a, high_b = high[rows_a], high[rows_b]
+        a_high = high_a & ~high_b  # a = 1 fights b = 0
+        b_high = ~high_a & high_b  # a = 0 fights b = 1
         diff = a_high | b_high
-        if not diff.any():
-            return _fixed(Detection())
-        iddq = self._first_true(diff)
+        excited = diff.any(axis=1).tolist()
+        iddq = (diff.argmax(axis=1) + 1).tolist()
 
-        ga = self._rail_or_drive(a)
-        gb = self._rail_or_drive(b)
+        ga, gb = drive[rows_a], drive[rows_b]
         total = ga + gb
         # Quiescent current of the fight: VDD through the two drive paths in
         # series (zero bridge resistance).
-        peak_current = float(np.max(ga * gb / total, where=diff, initial=0.0))
+        peaks = np.where(diff, ga * gb / total, 0.0).max(axis=1).tolist()
         # Divider voltage of the bridged node: on a fighting vector only the
         # high side's conductance pulls up.
         v_node = np.where(high_a, ga, gb) / total
+        del ga, gb, total
         high_wins = v_node >= self.v_high
         # Wired-AND tie-break: an exactly balanced fight resolves low.
         low_wins = (v_node <= self.v_low) | (v_node == 0.5)
         unresolved = ~(high_wins | low_wins)
+        a_low, b_low = a_high & low_wins, b_high & low_wins
+        a_up, b_up = b_high & high_wins, a_high & high_wins
+        a_x, b_x = a_high & unresolved, b_high & unresolved
 
-        strict = self._flip_injections(b, b_high & low_wins, a_high & high_wins)
-        strict += self._flip_injections(a, a_high & low_wins, b_high & high_wins)
-        x_only = self._flip_injections(a, a_high & unresolved, b_high & unresolved)
-        x_only += self._flip_injections(b, b_high & unresolved, a_high & unresolved)
-        return _voltage(strict, x_only, iddq, peak_current)
+        for k, fault in enumerate(faults):
+            if not excited[k]:
+                yield _fixed(Detection())
+                continue
+            a, b = fault.net_a, fault.net_b
+            strict = self._flip_injections(b, b_low[k], b_up[k])
+            strict += self._flip_injections(a, a_low[k], a_up[k])
+            x_only = self._flip_injections(a, a_x[k], b_x[k])
+            x_only += self._flip_injections(b, b_x[k], a_x[k])
+            yield _voltage(strict, x_only, iddq[k], peaks[k])
 
-    def _levels(self, net: str) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (is 1, is 0) vectors of a net or rail, memoised."""
-        levels = self._level_memo.get(net)
-        if levels is None:
-            high = self._rail_or_values(net) == 1
-            levels = self._level_memo[net] = (high, ~high)
-        return levels
+    def _bridge_rows(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """Row of every net and rail, and the rows' levels (is 1) and drives.
+
+        Built on first use."""
+        if self._rows is None:
+            nets = [net for net in self.mapped.nets if net not in _SUPPLIES]
+            nets += _SUPPLIES
+            high = np.stack([self._rail_or_values(net) == 1 for net in nets])
+            drive = np.stack([self._rail_or_drive(net) for net in nets])
+            self._rows = ({net: k for k, net in enumerate(nets)}, high, drive)
+        return self._rows
 
     def _rail_or_values(self, net: str) -> np.ndarray:
         if net == VDD:

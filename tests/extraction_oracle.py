@@ -8,6 +8,9 @@
   site with a fresh breadth-first search over the whole net.
 * :func:`oracle_check_spacing` and :func:`oracle_find_shorts` are the
   original spacing DRC and short finder over the same walk.
+* :func:`oracle_connectivity` is the original connectivity builder: one
+  ``near()`` query per shape, neighbour lists in edge-insertion order; and
+  :func:`oracle_verify_layout` the LVS-lite check over its components.
 
 ``repro.layout.spatial`` and ``repro.defects.extraction`` must reproduce
 these results exactly: the same pairs in the same order, and the same
@@ -37,11 +40,53 @@ from repro.defects.statistics import (
 from repro.layout.cells import GND, VDD
 from repro.layout.design import LayoutDesign
 from repro.layout.drc import PAD_CLEARANCE_RULE, SpacingViolation
-from repro.layout.extract import build_connectivity
+from repro.layout.extract import VerificationReport
 from repro.layout.geometry import DesignRules, Layer, Rect, facing_span
 from repro.layout.spatial import SpatialIndex
 
 _CONDUCTORS = (Layer.NDIFF, Layer.PDIFF, Layer.POLY, Layer.METAL1, Layer.METAL2)
+_CONTACT_BOTTOM = (Layer.POLY, Layer.NDIFF, Layer.PDIFF)
+
+
+def oracle_connectivity(shapes: list[Rect]) -> dict[int, list[int]]:
+    """Electrical connectivity over shape indices, one ``near()`` per shape.
+
+    Each node's neighbours are listed in insertion order: the edges of
+    lower-indexed nodes first (as those nodes are visited), then the node's
+    own edges in ``near()`` order.
+    """
+    graph: dict[int, list[int]] = {i: [] for i in range(len(shapes))}
+    index_of = {id(s): i for i, s in enumerate(shapes)}
+    is_cut = [s.layer.is_cut for s in shapes]
+    index = SpatialIndex(shapes)
+
+    def add_edge(i: int, j: int) -> None:
+        graph[i].append(j)
+        graph[j].append(i)
+
+    for i, shape in enumerate(shapes):
+        for other in index.near(shape):
+            j = index_of[id(other)]
+            if j <= i:
+                continue
+            if shape.layer == other.layer and shape.layer in _CONDUCTORS:
+                if shape.intersects(other):
+                    add_edge(i, j)
+            elif is_cut[i] or is_cut[j]:
+                cut, metal = (shape, other) if is_cut[i] else (other, shape)
+                if cut.overlap_area(metal) <= 0:
+                    continue
+                if cut.layer is Layer.CONTACT and metal.layer in (
+                    Layer.METAL1,
+                    *_CONTACT_BOTTOM,
+                ):
+                    add_edge(i, j)
+                elif cut.layer is Layer.VIA and metal.layer in (
+                    Layer.METAL1,
+                    Layer.METAL2,
+                ):
+                    add_edge(i, j)
+    return graph
 
 
 def oracle_candidate_pairs(
@@ -66,6 +111,43 @@ def oracle_candidate_pairs(
                 if pair not in emitted:
                     emitted.add(pair)
                     yield shapes[pair[0]], shapes[pair[1]]
+
+
+def oracle_verify_layout(design: LayoutDesign) -> VerificationReport:
+    """The LVS-lite check over :func:`oracle_connectivity`'s components,
+    visited in order of their lowest shape."""
+    report = VerificationReport()
+    shapes = design.shapes
+    graph = oracle_connectivity(shapes)
+    components: list[set[int]] = []
+    seen: set[int] = set()
+    for root in graph:
+        if root in seen:
+            continue
+        seen.add(root)
+        component, frontier = {root}, [root]
+        while frontier:
+            for j in graph[frontier.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    component.add(j)
+                    frontier.append(j)
+        components.append(component)
+
+    for component in components:
+        labels = {shapes[i].net for i in component if shapes[i].net}
+        if len(labels) > 1:
+            ordered = sorted(labels)
+            report.merged_nets.extend((ordered[0], other) for other in ordered[1:])
+    components_per_net: dict[str, int] = {}
+    for component in components:
+        for label in {shapes[i].net for i in component if shapes[i].net}:
+            components_per_net[label] = components_per_net.get(label, 0) + 1
+    for net, count in components_per_net.items():
+        if count > 1:
+            report.split_nets[net] = count
+    report.shorts = oracle_find_shorts(shapes)
+    return report
 
 
 def oracle_find_shorts(shapes: list[Rect]) -> list[tuple[Rect, Rect]]:
@@ -162,7 +244,7 @@ class OracleFaultExtractor:
         self.stats = statistics
         self.size = statistics.size
         self.shapes = design.shapes
-        self.graph = build_connectivity(self.shapes)
+        self.graph = oracle_connectivity(self.shapes)
         self._adjacent_transistors = self._map_seg_transistors()
         self._sd_pair_transistor = self._map_sd_pairs()
         self._instance_of = {t.name: t.name.rsplit(".", 1)[0] for t in design.transistors}
@@ -285,7 +367,7 @@ class OracleFaultExtractor:
             ctx = contexts.setdefault(shape.net, _NetContext(name=shape.net))
             ctx.nodes.append(i)
             ctx.adjacency[i] = [
-                j for j in self.graph.neighbors(i) if self.shapes[j].net == shape.net
+                j for j in self.graph[i] if self.shapes[j].net == shape.net
             ]
             if shape.purpose == "gate":
                 ctx.gate_shapes.add(i)
@@ -377,7 +459,7 @@ class OracleFaultExtractor:
         # Connection intervals along y: contacts first, then channels.
         contacts = [
             (self.shapes[j].lly, self.shapes[j].ury)
-            for j in self.graph.neighbors(self._index_of(shape))
+            for j in self.graph[self._index_of(shape)]
             if self.shapes[j].layer is Layer.CONTACT
         ]
         channels = sorted(

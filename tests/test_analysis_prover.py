@@ -29,6 +29,7 @@ from repro.analysis.check import (
     check_certificates,
 )
 from repro.analysis.prover import (
+    _STATIC_LEARNING_CACHE,
     CERTIFICATE_VERSION,
     RedundancyProver,
     netlist_hash,
@@ -350,6 +351,17 @@ def test_netlist_hash_is_structural():
 def test_static_learning_cache_hits_on_equal_netlists():
     a, b = BENCHMARKS["mux8"](), BENCHMARKS["mux8"]()
     assert static_learning(a) is static_learning(b)
+
+
+def test_prover_work_does_not_depend_on_the_learning_cache():
+    # The first call learns (cache miss), the second reuses the learned map;
+    # ``work`` counts only the prover's own closures either way.
+    circuit = BENCHMARKS["c432"]()
+    _STATIC_LEARNING_CACHE.pop(netlist_hash(circuit), None)
+    first = prove_untestable(circuit, depth=0).work
+    second = prove_untestable(BENCHMARKS["c432"](), depth=0).work
+    assert first == second
+    assert first["engine_closures"] > 0
 
 
 @pytest.mark.parametrize("name", ["c17", "alu4", "mux8"])

@@ -4,7 +4,12 @@ The LVS-lite checker must actually catch broken layouts — these tests break
 a good layout in controlled ways and assert the verifier reports it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.layout import (
     Layer,
     Rect,
@@ -58,9 +63,14 @@ def test_detects_merged_nets(c17_design):
 
 def test_connectivity_graph_edges_sane(c17_design):
     graph = build_connectivity(c17_design.shapes)
-    # Every edge joins shapes of the same net (the layout is clean).
-    for i, j in graph.edges:
-        assert c17_design.shapes[i].net == c17_design.shapes[j].net
+    assert graph.n_nodes == len(c17_design.shapes)
+    assert len(graph.indices)
+    # Every edge joins shapes of the same net (the layout is clean), and
+    # is listed from both ends.
+    for i in range(graph.n_nodes):
+        for j in graph.neighbors(i):
+            assert c17_design.shapes[i].net == c17_design.shapes[j].net
+            assert i in graph.neighbors(j)
 
 
 def test_missing_via_splits_net(c17_design):
@@ -72,3 +82,25 @@ def test_missing_via_splits_net(c17_design):
     shapes.remove(victim)
     report = verify_layout(_clone_with_shapes(c17_design, shapes))
     assert victim.net in report.split_nets
+
+
+def test_layout_to_fault_tail_needs_no_networkx():
+    # A fresh interpreter, so that no other test's imports count.
+    code = (
+        "import sys\n"
+        "from repro.circuit import BENCHMARKS\n"
+        "from repro.defects import extract_faults\n"
+        "from repro.layout import build_layout, verify_layout\n"
+        "design = build_layout(BENCHMARKS['c17']())\n"
+        "assert len(extract_faults(design))\n"
+        "assert verify_layout(design).clean\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )

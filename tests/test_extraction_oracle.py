@@ -1,10 +1,11 @@
 """The fast extraction paths against the reference implementations.
 
-``extraction_oracle`` keeps the original all-pairs spatial walk and the
-per-site breadth-first open classification.  The same-layer pair walk and
-the one-pass open classification must reproduce them exactly: the same
-pairs in the same order, and the same fault list down to the bits of every
-weight.
+``extraction_oracle`` keeps the original all-pairs spatial walk, the
+per-site breadth-first open classification and the ``near()``-walk
+connectivity graph.  The same-layer pair walk, the one-pass open
+classification and the CSR connectivity graph must reproduce them exactly:
+the same pairs in the same order, the same neighbours in the same order,
+and the same fault list down to the bits of every weight.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from hypothesis import strategies as st
 from extraction_oracle import (
     oracle_candidate_pairs,
     oracle_check_spacing,
+    oracle_connectivity,
     oracle_extract_faults,
     oracle_find_shorts,
+    oracle_verify_layout,
 )
 from repro import obs
 from repro.circuit import BENCHMARKS
 from repro.defects import DefectStatistics, extract_faults
 from repro.layout import Layer, Rect, SpatialIndex, build_layout
 from repro.layout.drc import check_spacing
-from repro.layout.extract import find_shorts
+from repro.layout.extract import build_connectivity, find_shorts, verify_layout
 
 #: Every built-in circuit once (``c432_like`` is ``c432``); c880 is covered
 #: by the full-mode extraction benchmark.
@@ -107,6 +110,74 @@ def test_candidate_pairs_are_the_oracle_walk_restricted_to_same_layer(
         if a.layer == b.layer
     ]
     assert fast == reference
+
+
+_WIRING = (
+    Layer.METAL1,
+    Layer.METAL2,
+    Layer.POLY,
+    Layer.NDIFF,
+    Layer.CONTACT,
+    Layer.VIA,
+    Layer.NWELL,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rects=st.lists(
+        st.tuples(
+            st.sampled_from(_WIRING),
+            _coord,
+            _coord,
+            _extent,
+            _extent,
+            st.sampled_from(("", "a", "b")),
+        ),
+        max_size=60,
+    )
+)
+def test_connectivity_is_the_oracle_graph_in_neighbour_order(rects):
+    shapes = [Rect(layer, x, y, x + w, y + h, net) for layer, x, y, w, h, net in rects]
+    graph = build_connectivity(shapes)
+    reference = oracle_connectivity(shapes)
+    assert [graph.neighbors(i) for i in range(len(shapes))] == [
+        reference[i] for i in range(len(shapes))
+    ]
+
+
+def _report(report) -> tuple:
+    return (
+        report.split_nets,
+        report.merged_nets,
+        [(id(a), id(b)) for a, b in report.shorts],
+    )
+
+
+def test_verify_layout_matches_oracle_on_broken_c17():
+    design = _design("c17")
+    via = next(
+        s for s in design.shapes if s.layer is Layer.VIA and s.net not in ("VDD", "GND")
+    )
+    no_via = dataclasses.replace(
+        design, shapes=[s for s in design.shapes if s is not via]
+    )
+    a = next(s for s in design.shapes if s.net == "G10" and s.layer is Layer.METAL2)
+    b = next(s for s in design.shapes if s.net == "G11" and s.layer is Layer.METAL2)
+    strap = Rect(
+        Layer.METAL2,
+        min(a.llx, b.llx),
+        min(a.lly, b.lly),
+        max(a.urx, b.urx),
+        max(a.ury, b.ury),
+        "G10",
+    )
+    shorted = dataclasses.replace(design, shapes=list(design.shapes) + [strap])
+    for broken in (no_via, shorted):
+        report = verify_layout(broken)
+        assert not report.clean
+        assert _report(report) == _report(oracle_verify_layout(broken))
+    assert _report(verify_layout(design)) == _report(oracle_verify_layout(design))
 
 
 def _sabotaged(design):
